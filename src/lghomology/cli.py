@@ -29,8 +29,7 @@ from fractions import Fraction
 from .errors import (LGError, NoStabilization, NonIsolated, NonIsolatedSector,
                      ParseError)
 from .hochschild import hh_bm_graded, hh_ordinary
-from .jacobi import (INFINITE, LGModel, canonical_module,
-                     has_isolated_critical_points, jacobi_data)
+from .jacobi import INFINITE, LGModel, canonical_module, jacobi_data
 from .koszul import koszul_concentrated, koszul_homology_dims
 from .linalg import PrimeField, QQ
 from .mf import (MatrixFactorization, PolyMatrix, ext_dims,
@@ -274,8 +273,8 @@ def cmd_hh(args):
         if mf.carrier is None:
             raise ParseError("the ordinary variant needs a carrier line")
         trivial = GroupAction.cyclic(1, tuple(0 for _ in mf.carrier))
-        terms = {m: _as_fraction(c) for m, c in model.potential.terms.items()}
-        cp = cross_product(trivial, mf.carrier, terms, field=model.ring.field)
+        cp = cross_product(trivial, mf.carrier, model.potential.terms,
+                           field=model.ring.field)
         window = args.window or mf.window.get("tensor", 10)
         rep = hh_ordinary(cp.algebra, max_tensor=window)
         return {
@@ -321,12 +320,6 @@ def cmd_hh(args):
             "total": data.milnor,
         }
     raise ParseError("unknown variant %r" % args.variant)
-
-
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
-    return Fraction(int(c))
 
 
 def cmd_mf(args):

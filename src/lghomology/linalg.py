@@ -14,7 +14,8 @@ from .errors import CompositionNonzero, ShapeMismatch
 
 
 class Field:
-    """Common interface: ``zero``, ``one``, ``from_int``, characteristic."""
+    """Common interface: ``zero``, ``one``, ``from_int``, characteristic, and
+    ``c in field`` for membership of an element."""
 
     characteristic = 0
 
@@ -40,6 +41,9 @@ class RationalField(Field):
 
     def __repr__(self):
         return "QQ"
+
+    def __contains__(self, c):
+        return isinstance(c, Fraction)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -109,6 +113,9 @@ class PrimeField(Field):
 
     def __repr__(self):
         return "GF(%d)" % self.p
+
+    def __contains__(self, c):
+        return isinstance(c, FpElement) and c.p == self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -286,6 +293,9 @@ class CyclotomicField(Field):
     def __repr__(self):
         return "QQ(zeta_%d)" % self.d
 
+    def __contains__(self, c):
+        return isinstance(c, CycElement) and c.field == self
+
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.d == self.d
 
@@ -436,6 +446,7 @@ def _eliminate(m, want_kernel=False):
     """
     rows = [dict(r) for r in _row_major(m).values()]
     n = m.cols
+    one = m.field.one
     pivots = []  # (col, reduced row)
     for col in range(n):
         cand = [r for r in rows if col in r]
@@ -444,7 +455,7 @@ def _eliminate(m, want_kernel=False):
         cand.sort(key=lambda r: (len(r), min(r)))
         piv = cand[0]
         rows.remove(piv)
-        inv = piv[col].inverse() if hasattr(piv[col], "inverse") else 1 / piv[col]
+        inv = one / piv[col]
         piv = {j: v * inv for j, v in piv.items()}
         nxt = []
         for r in rows:
@@ -485,7 +496,6 @@ def _eliminate(m, want_kernel=False):
                     del new[j]
             pivots[jdx] = (pcol, new)
     pivot_cols = {c for c, _ in pivots}
-    one = m.field.one
     basis = []
     for free in range(n):
         if free in pivot_cols:

@@ -303,14 +303,18 @@ def apply_differential(hom, phi_blocks, parity):
 
 
 def _udivmod(a, b):
-    """Quotient and remainder of univariate polynomials."""
+    """Quotient and remainder of univariate polynomials.
+
+    Works on exponents: ``degree()`` is weighted and overshoots them when
+    the variable has weight above 1.
+    """
     ring = a.ring
     q = ring.zero()
     r = a
-    db = b.degree()
+    (db,) = b.leading_monomial()
     lcb = b.leading_coeff()
-    while r and r.degree() >= db:
-        shift = r.degree() - db
+    while r and r.leading_monomial()[0] >= db:
+        shift = r.leading_monomial()[0] - db
         coeff = r.leading_coeff() / lcb
         t = Polynomial(ring, {(shift,): coeff})
         q = q + t
@@ -419,7 +423,7 @@ def _cohomology_dim_univariate(d_in, d_out):
     nonzero = [e for e in diag2 if e]
     if len(nonzero) < X.nrows:
         return INFINITE
-    return sum(e.degree() for e in nonzero)
+    return sum(e.leading_monomial()[0] for e in nonzero)
 
 
 def _degree_window_matrix(pm, cap, min_row_degree=None):

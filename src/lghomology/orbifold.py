@@ -284,8 +284,15 @@ class CrossProduct:
             base.append(expo)
         self.base_monomials = base
         self.base_index = {m: i for i, m in enumerate(base)}
-        self.potential_terms = {tuple(m): Fraction(c)
-                                for m, c in potential_terms.items() if c}
+        self.potential_terms = {}
+        for m, c in potential_terms.items():
+            if isinstance(c, (int, Fraction)):
+                c = field.from_fraction(c)
+            elif c not in field:
+                raise TypeError("potential coefficient %r is not in %r"
+                                % (c, field))
+            if c:
+                self.potential_terms[tuple(m)] = c
         for m in self.potential_terms:
             if any(e >= p for e, p in zip(m, self.powers)):
                 raise ValueError("potential monomial exceeds the truncation")
@@ -312,7 +319,7 @@ class CrossProduct:
                 mult[(i, j)] = {k: scalar}
         curvature = {}
         for m, c in self.potential_terms.items():
-            curvature[self.index[(m, action.identity)]] = field.from_fraction(c)
+            curvature[self.index[(m, action.identity)]] = c
         unit = self.index[(tuple(0 for _ in self.powers), action.identity)]
         labels = ["%s#%s" % (m, g) for (m, g) in self.elements]
         self.algebra = FiniteCurvedAlgebra(labels, mult, curvature, unit=unit,
@@ -354,7 +361,7 @@ class CrossProduct:
         curvature = {}
         for m, c in self.potential_terms.items():
             if m in idx:
-                curvature[idx[m]] = self.field.from_fraction(c)
+                curvature[idx[m]] = c
         unit = idx[tuple(0 for _ in self.powers)]
         alg = FiniteCurvedAlgebra([str(m) for m in keep], mult, curvature,
                                   unit=unit, field=self.field, check=True)
@@ -415,7 +422,7 @@ def _sector_chain_layout(cp, max_tensor):
     return layout, offsets, totals
 
 
-def psi_matrices(cp, max_tensor, corrupt=False):
+def psi_matrices(cp, max_tensor):
     """Matrices of the sector-restriction map on a chain window."""
     from .hochschild import ChainWindow
     win = ChainWindow(cp.algebra, max_tensor, normalized=False)
@@ -433,32 +440,28 @@ def psi_matrices(cp, max_tensor, corrupt=False):
                 local = swin.index[k][tuple(idx[m] for m in monos)]
             except KeyError:
                 continue
-            if corrupt and k > 0:
-                scalar = -scalar
             ent[(offsets[(g, k)] + local, col)] = scalar
         mats[k] = Matrix(totals[k], win.dim(k), cp.field, ent)
     return win, layout, offsets, totals, mats
 
 
-def _sector_block_boundaries(cp, layout, offsets, totals, max_tensor):
-    bm = {}
-    bp = {}
-    for k in range(1, max_tensor + 1):
-        ent = {}
-        for g in cp.group:
-            m = layout[g][3].boundary_minus(k)
-            ro, co = offsets[(g, k - 1)], offsets[(g, k)]
-            for (i, j), v in m.entries.items():
-                ent[(ro + i, co + j)] = v
-        bm[k] = Matrix(totals[k - 1], totals[k], cp.field, ent)
-    for k in range(max_tensor):
-        ent = {}
-        for g in cp.group:
-            m = layout[g][3].boundary_plus(k)
-            ro, co = offsets[(g, k + 1)], offsets[(g, k)]
-            for (i, j), v in m.entries.items():
-                ent[(ro + i, co + j)] = v
-        bp[k] = Matrix(totals[k + 1], totals[k], cp.field, ent)
+def _sector_block_boundaries(cp, layout, max_tensor):
+    """Both differentials of the direct sum of the sector chain windows."""
+    from .hochschild import ChainWindow, _assemble_block
+    wins = {g: layout[g][3] for g in cp.group}
+    dims = {(g, k): wins[g].dim(k) for g in cp.group
+            for k in range(max_tensor + 1)}
+
+    def block_diagonal(part, k, dk):
+        blocks = {((g, k), (g, dk)): part(wins[g], k) for g in cp.group}
+        return _assemble_block([(g, k) for g in cp.group],
+                               [(g, dk) for g in cp.group], dims, dims,
+                               blocks, cp.field)
+
+    bm = {k: block_diagonal(ChainWindow.boundary_minus, k, k - 1)
+          for k in range(1, max_tensor + 1)}
+    bp = {k: block_diagonal(ChainWindow.boundary_plus, k, k + 1)
+          for k in range(max_tensor)}
     return bm, bp
 
 
@@ -483,7 +486,7 @@ def _coinvariant_projector(cp, layout, offsets, totals, k):
     return Matrix(n, n, field, {k2: v for k2, v in ent.items() if v})
 
 
-def psi_chain_check(cp, max_tensor, corrupt=False):
+def psi_chain_check(cp, max_tensor):
     """Exact commutation of the restriction map with both differentials.
 
     The insertion part must commute on the nose; the multiplication part
@@ -491,10 +494,8 @@ def psi_chain_check(cp, max_tensor, corrupt=False):
     """
     if max_tensor < 2:
         raise WindowTooSmall("need tensor degree at least 2")
-    win, layout, offsets, totals, psi = psi_matrices(cp, max_tensor,
-                                                     corrupt=corrupt)
-    bm_s, bp_s = _sector_block_boundaries(cp, layout, offsets, totals,
-                                          max_tensor)
+    win, layout, offsets, totals, psi = psi_matrices(cp, max_tensor)
+    bm_s, bp_s = _sector_block_boundaries(cp, layout, max_tensor)
     bm_c = {k: win.boundary_minus(k) for k in range(1, max_tensor + 1)}
     bp_c = {k: win.boundary_plus(k) for k in range(max_tensor)}
     for k in range(max_tensor):

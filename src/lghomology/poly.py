@@ -215,23 +215,10 @@ class Polynomial:
     def monic(self):
         if not self.terms:
             return self
-        inv = self.leading_coeff()
-        inv = inv.inverse() if hasattr(inv, "inverse") else 1 / inv
-        return self.scale(inv)
+        return self.scale(self.ring.field.one / self.leading_coeff())
 
     def constant_term(self):
         return self.terms.get(self.ring.zero_mono(), self.ring.field.zero)
-
-    def substitute_zero(self, var_indices):
-        """Set the given variables to zero."""
-        kill = set(var_indices)
-        terms = {}
-        for m, c in self.terms.items():
-            if any(m[i] for i in kill):
-                continue
-            cur = terms.get(m)
-            terms[m] = c if cur is None else cur + c
-        return Polynomial(self.ring, terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: self.ring.order_key(mc[0]),
@@ -327,9 +314,7 @@ def parse_polynomial(text, ring):
             else:
                 if len(nxt.terms) != 1 or nxt.leading_monomial() != ring.zero_mono():
                     raise ParseError("can only divide by a nonzero constant", pos())
-                c = nxt.leading_coeff()
-                inv = c.inverse() if hasattr(c, "inverse") else 1 / c
-                acc = acc.scale(inv)
+                acc = acc.scale(ring.field.one / nxt.leading_coeff())
         return acc
 
     def parse_factor():
@@ -390,6 +375,7 @@ class GroebnerBasis:
 def _reduce_once(f, gens):
     """One full normal-form pass of ``f`` against ``gens``."""
     ring = f.ring
+    one = ring.field.one
     remainder = {}
     work = dict(f.terms)
     while work:
@@ -404,9 +390,7 @@ def _reduce_once(f, gens):
             remainder[mono] = coeff
             continue
         quot_mono = mono_div(mono, hit.leading_monomial())
-        lc = hit.leading_coeff()
-        lc_inv = lc.inverse() if hasattr(lc, "inverse") else 1 / lc
-        factor = coeff * lc_inv
+        factor = coeff * (one / hit.leading_coeff())
         for gm, gc in hit.terms.items():
             key = mono_mul(gm, quot_mono)
             if key == mono:
@@ -429,11 +413,10 @@ def _s_polynomial(f, g):
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = mono_lcm(lf, lg)
     cf, cg = f.leading_coeff(), g.leading_coeff()
-    mf = Polynomial(f.ring, {mono_div(lcm, lf): f.ring.field.one})
-    mg = Polynomial(f.ring, {mono_div(lcm, lg): f.ring.field.one})
-    inv_cf = cf.inverse() if hasattr(cf, "inverse") else 1 / cf
-    inv_cg = cg.inverse() if hasattr(cg, "inverse") else 1 / cg
-    return (mf * f).scale(inv_cf) - (mg * g).scale(inv_cg)
+    one = f.ring.field.one
+    mf = Polynomial(f.ring, {mono_div(lcm, lf): one})
+    mg = Polynomial(f.ring, {mono_div(lcm, lg): one})
+    return (mf * f).scale(one / cf) - (mg * g).scale(one / cg)
 
 
 def buchberger(gens, ring=None):

@@ -102,6 +102,15 @@ def test_hh_ordinary_vanishes(tmp_path, capsys):
     assert doc["dims"] == {"even": 0, "odd": 0}
 
 
+def test_hh_ordinary_vanishes_over_prime_field(tmp_path, capsys):
+    text = X2_FINITE.replace("field rational", "field prime 101")
+    path = write(tmp_path, "x2p.lg", text + "window tensor=4\n")
+    code, out, _ = run(capsys, ["hh", path, "--variant", "ordinary",
+                                "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["dims"] == {"even": 0, "odd": 0}
+
+
 def test_hh_compact_cohomology(tmp_path, capsys):
     path = write(tmp_path, "x3.lg", X3)
     code, out, _ = run(capsys, ["hh", path, "--variant", "compact-cohomology",

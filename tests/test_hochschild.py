@@ -9,8 +9,9 @@ from lghomology.errors import (BadFunctional, InfiniteCarrier,
                                PositiveDegreeCarrier, WindowTooSmall)
 from lghomology.hochschild import (BicomplexWindow, ChainWindow,
                                    CochainWindow, FiniteCurvedAlgebra,
-                                   PureCurvatureSpace, bm_spot_homology,
-                                   cochain_diff, compact_type_check,
+                                   PureCurvatureSpace, bar_minus, bar_plus,
+                                   bm_spot_homology, cochain_diff,
+                                   compact_type_check,
                                    hh_bm_graded, hh_ordinary,
                                    mixed_complex_check, poly_boundary_minus,
                                    poly_boundary_plus, vanishing_homotopy,
@@ -44,15 +45,41 @@ def test_mixed_identities_mixed_parity_carrier():
     assert mixed_complex_check(alg, 5)
 
 
-def test_corruption_canary_detected():
+def negate_first_entry(m):
+    ent = dict(m.entries)
+    first = sorted(ent)[0]
+    ent[first] = -ent[first]
+    return Matrix(m.rows, m.cols, m.field, ent)
+
+
+def test_corruption_canary_detected(monkeypatch):
+    clean = ChainWindow.all_boundaries
+
+    def corrupted(win):
+        bm, bp = clean(win)
+        mid = max(k for k in bp if bp[k].entries)
+        bp[mid] = negate_first_entry(bp[mid])
+        return bm, bp
+
+    monkeypatch.setattr(ChainWindow, "all_boundaries", corrupted)
     alg = FiniteCurvedAlgebra.truncated_polynomial(3, {2: 1})
-    assert not mixed_complex_check(alg, 5, corrupt_plus=True)
+    assert not mixed_complex_check(alg, 5)
 
 
 def test_window_too_small():
     alg = FiniteCurvedAlgebra.truncated_polynomial(3, {2: 1})
     with pytest.raises(WindowTooSmall):
         mixed_complex_check(alg, 2)
+
+
+def test_engine_lookup_misses_raise():
+    # only the unit in a slot after the zeroth may be missing from a target
+    alg = trunc(3, {2: 1})
+    win = ChainWindow(alg, 3)
+    with pytest.raises(KeyError):
+        bar_minus(win.bases[2], {}, alg.product, None, alg.field, alg.unit)
+    with pytest.raises(KeyError):
+        bar_plus(win.bases[1], {}, alg.curvature, 0, None, alg.field, alg.unit)
 
 
 def test_chain_window_square_zero_each_part():
@@ -215,11 +242,7 @@ def test_bicomplex_window_squares():
     # tamper with an interior horizontal block and confirm detection
     key = (2, 3)
     assert win.horizontal[key].entries
-    m = win.horizontal[key]
-    ent = dict(m.entries)
-    first = sorted(ent)[0]
-    ent[first] = -ent[first]
-    win.horizontal[key] = Matrix(m.rows, m.cols, m.field, ent)
+    win.horizontal[key] = negate_first_entry(win.horizontal[key])
     assert not win.check_squares()
 
 

@@ -101,6 +101,16 @@ def test_ext_univariate_quintic():
     assert smith == (2, 2)
 
 
+def test_ext_smith_weighted_variable():
+    # x of weight 2: division and lengths must use exponents, not degrees
+    model = make_model("x^7", "x", weights=(2,))
+    ring = model.ring
+    for a, expected in ((1, (1, 1)), (3, (3, 3))):
+        mf = MatrixFactorization(model, PolyMatrix(ring, [[P("x^%d" % a, ring)]]),
+                                 PolyMatrix(ring, [[P("x^%d" % (7 - a), ring)]]))
+        assert ext_dims(mf, mf, method="smith") == expected
+
+
 def test_ext_of_trivial_vanishes():
     model, mf = uni_mf(3, 1)
     triv = trivial_factorization(model)

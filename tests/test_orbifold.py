@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_model
+from lghomology import orbifold
 from lghomology.errors import (BadCharacteristic, NonIsolatedSector,
                                NotInvariant, WindowTooSmall)
 from lghomology.linalg import PrimeField, QQ
@@ -188,6 +189,18 @@ def test_cross_product_trivial_group_is_plain_algebra():
     assert cp.algebra.dim == 3
 
 
+def test_cross_product_field_coefficients():
+    gf7 = PrimeField(7)
+    trivial = GroupAction.cyclic(1, (0,))
+    cp = cross_product(trivial, (3,), {(2,): gf7.from_int(3), (1,): 7},
+                       field=gf7)
+    assert cp.potential_terms == {(2,): gf7.from_int(3)}
+    # an element of another field is rejected, not mixed in
+    with pytest.raises(TypeError):
+        cross_product(GroupAction.cyclic(2, (1,)), (3,),
+                      {(2,): gf7.from_int(3)})
+
+
 def test_psi_map_examples():
     action = GroupAction.cyclic(2, (1,))
     cp = cross_product(action, (2,), {(0,): 0})
@@ -237,12 +250,19 @@ def test_psi_chain_trivial_group():
     assert psi_chain_check(cp, 4)
 
 
-def test_psi_chain_corruption_detected():
+def test_psi_chain_corruption_detected(monkeypatch):
     # the canary needs nonzero curvature so the insertion-part comparison
     # sees one corrupted and one clean restriction matrix
+    clean = orbifold.psi_matrices
+
+    def corrupted(cp, max_tensor):
+        *rest, mats = clean(cp, max_tensor)
+        return (*rest, {k: m if k == 0 else -m for k, m in mats.items()})
+
+    monkeypatch.setattr(orbifold, "psi_matrices", corrupted)
     action = GroupAction.cyclic(2, (1,))
     cp = cross_product(action, (3,), {(2,): 1})
-    assert not psi_chain_check(cp, 3, corrupt=True)
+    assert not psi_chain_check(cp, 3)
 
 
 def test_psi_chain_window_guard():
