@@ -68,7 +68,24 @@ class ModelFile:
             raise ParseError("model file declares no potential")
         ring = PolyRing(self.names, self.weights, field=self.field)
         potential = parse_polynomial(self.potential_src, ring)
+        if self.carrier is not None:
+            if len(self.carrier) != ring.nvars:
+                raise ParseError("carrier line needs one truncation power "
+                                 "per variable")
+            if any(e >= p for mono in potential.terms
+                   for e, p in zip(mono, self.carrier)):
+                raise ParseError("potential does not fit in the carrier "
+                                 "truncated %s"
+                                 % " ".join(map(str, self.carrier)))
         return LGModel(ring, potential)
+
+
+def _window_int(name, val, lineno):
+    try:
+        return int(val)
+    except ValueError:
+        raise ParseError("bad window value %s=%r (line %d)"
+                         % (name, val, lineno))
 
 
 def parse_model_file(text):
@@ -90,9 +107,10 @@ def parse_model_file(text):
             elif len(toks) == 2 and toks[0] == "prime":
                 try:
                     p = int(toks[1])
+                    mf.field = PrimeField(p)
                 except ValueError:
                     raise ParseError("bad prime %r (line %d)" % (toks[1], lineno))
-                mf.field, mf.field_desc = PrimeField(p), "prime %d" % p
+                mf.field_desc = "prime %d" % p
             else:
                 raise ParseError("bad field spec (line %d)" % lineno)
         elif key == "variables":
@@ -122,6 +140,9 @@ def parse_model_file(text):
                 ws = [int(t) for t in toks[3:]]
             except ValueError:
                 raise ParseError("bad group numbers (line %d)" % lineno)
+            if d < 1:
+                raise ParseError("group order must be positive (line %d)"
+                                 % lineno)
             mf.group = GroupAction.cyclic(d, tuple(ws))
         elif key == "carrier":
             toks = rest.split()
@@ -132,15 +153,22 @@ def parse_model_file(text):
                 mf.carrier = tuple(int(t) for t in toks[1:])
             except ValueError:
                 raise ParseError("bad truncation powers (line %d)" % lineno)
+            if any(p < 1 for p in mf.carrier):
+                raise ParseError("truncation powers must be positive (line %d)"
+                                 % lineno)
         elif key == "window":
             for tok in rest.split():
                 name, _, val = tok.partition("=")
                 if name == "tensor":
-                    mf.window["tensor"] = int(val)
+                    mf.window["tensor"] = _window_int(name, val, lineno)
+                    if mf.window["tensor"] < 1:
+                        raise ParseError("window tensor must be at least 1 "
+                                         "(line %d)" % lineno)
                 elif name == "maxr":
-                    mf.window["maxr"] = int(val)
+                    mf.window["maxr"] = _window_int(name, val, lineno)
                 elif name == "degrees":
-                    mf.window["degrees"] = [int(v) for v in val.split(",")]
+                    mf.window["degrees"] = [_window_int(name, v, lineno)
+                                            for v in val.split(",")]
                 else:
                     raise ParseError("unknown window key %r (line %d)"
                                      % (name, lineno))
@@ -275,7 +303,10 @@ def cmd_hh(args):
         trivial = GroupAction.cyclic(1, tuple(0 for _ in mf.carrier))
         cp = cross_product(trivial, mf.carrier, model.potential.terms,
                            field=model.ring.field)
-        window = args.window or mf.window.get("tensor", 10)
+        window = args.window if args.window is not None else \
+            mf.window.get("tensor", 10)
+        if window < 1:
+            raise ParseError("--window must be at least 1")
         rep = hh_ordinary(cp.algebra, max_tensor=window)
         return {
             "command": "hh",

@@ -652,11 +652,15 @@ def _bm_differential(model, n, q):
                            field)
 
 
-def bm_spot_homology(model, n, q):
-    """Homology dimension of the first-quadrant total complex at (n, charge q)."""
+def bm_spot_homology(model, n, q, ranks=None):
+    """Homology dimension of the first-quadrant total complex at (n, charge q).
+
+    ``ranks``, if given, maps (n, q) to the rank of that differential; it
+    is read and filled so that no differential is ranked twice.
+    """
     d_out = _bm_differential(model, n, q)
     d_in = _bm_differential(model, n + 1, q)
-    return homology_dim(d_in, d_out)
+    return homology_dim(d_in, d_out, ranks, ((n + 1, q), (n, q)))
 
 
 def hh_bm_graded(model, internal_degrees, max_r=5):
@@ -671,6 +675,9 @@ def hh_bm_graded(model, internal_degrees, max_r=5):
     d = model.degree
     dims = {}
     stab = {}
+    # (n, q) -> rank: both parities at shift r use the differential at
+    # (n0+2r+1, q), the first as d_in, the second as d_out.
+    ranks = {}
     for e in internal_degrees:
         for parity_offset in (0, 1):
             prev = None
@@ -678,7 +685,7 @@ def hh_bm_graded(model, internal_degrees, max_r=5):
             for r in range(max_r + 1):
                 n = n0 + parity_offset + 2 * r
                 q = e + r * d
-                val = bm_spot_homology(model, n, q)
+                val = bm_spot_homology(model, n, q, ranks)
                 if prev is not None and val == prev:
                     settled = val
                     stab[(e, parity_offset)] = r

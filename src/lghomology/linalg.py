@@ -3,12 +3,15 @@
 Scalars live in an exact field: the rationals, a prime field, or a
 cyclotomic extension of the rationals.  Matrices are stored sparsely and
 all rank/kernel computations use exact Gaussian elimination with
-deterministic pivoting.
+deterministic pivoting: over Q on integer rows, fraction-free; over GF(p)
+on int residues; over Q(zeta) on field elements.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CompositionNonzero, ShapeMismatch
 
@@ -431,102 +434,279 @@ class Matrix:
             self.rows, self.cols, self.field, len(self.entries))
 
 
-def _row_major(m):
-    rows = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v
-    return rows
+# ---------------------------------------------------------------------------
+# Elimination
+#
+# A matrix is eliminated as a map row index -> {column: value}.  How a row is
+# stored and how one update step is done depends on the field; the loop in
+# ``_eliminate`` is shared.
 
 
-def _eliminate(m, want_kernel=False):
-    """Gaussian elimination; returns (rank, kernel basis or None).
+class _IntegerRows:
+    """Q: integer rows.  Elimination is fraction-free and keeps every row it
+    updates primitive (divided by the gcd of its entries)."""
+
+    def rows(self, m):
+        """m scaled by the lcm of its denominators; a nonzero scalar changes
+        neither the rank nor whether a product vanishes."""
+        den = lcm(*{v.denominator for v in m.entries.values()})
+        rows = {}
+        for (i, j), v in m.entries.items():
+            rows.setdefault(i, {})[j] = v.numerator * (den // v.denominator)
+        return rows
+
+    def pivot(self, row, col):
+        """Make ``row`` primitive with a positive entry at ``col``."""
+        g = gcd(*row.values())
+        if row[col] < 0:
+            g = -g
+        if g != 1:
+            for j in row:
+                row[j] //= g
+
+    def reduce(self, row, col, a, rest, rid, index):
+        """row <- (a/g) row - (b/g) pivot with b = row[col], g = gcd(a, b)."""
+        b = row.pop(col)
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+        if a != 1:
+            for j in row:
+                row[j] *= a
+        get = row.get
+        for j, v in rest:
+            w = get(j)
+            if w is None:
+                row[j] = -b * v
+                index[j].add(rid)
+            else:
+                w -= b * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+                    index[j].discard(rid)
+        if row:
+            g = gcd(*row.values())
+            if g != 1:
+                for j in row:
+                    row[j] //= g
+
+    def quotient(self, v, a):
+        return Fraction(v, a)
+
+
+class _ResidueRows:
+    """GF(p): rows of int residues, reduced mod p after every update."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def rows(self, m):
+        rows = {}
+        for (i, j), v in m.entries.items():
+            rows.setdefault(i, {})[j] = v.val
+        return rows
+
+    def pivot(self, row, col):
+        """Scale ``row`` so that its entry at ``col`` is 1."""
+        p = self.p
+        inv = pow(row[col], -1, p)
+        if inv != 1:
+            for j in row:
+                row[j] = row[j] * inv % p
+
+    def reduce(self, row, col, a, rest, rid, index):
+        """row <- row - row[col] pivot (the pivot entry ``a`` is 1)."""
+        p = self.p
+        c = p - row.pop(col)
+        get = row.get
+        for j, v in rest:
+            w = get(j)
+            if w is None:
+                row[j] = c * v % p
+                index[j].add(rid)
+            else:
+                w = (w + c * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+                    index[j].discard(rid)
+
+    def quotient(self, v, a):
+        return FpElement(v * pow(a, -1, self.p), self.p)
+
+
+class _ElementRows:
+    """Any other field, Q(zeta) here: rows of field elements."""
+
+    def __init__(self, field):
+        self.one = field.one
+
+    def rows(self, m):
+        rows = {}
+        for (i, j), v in m.entries.items():
+            rows.setdefault(i, {})[j] = v
+        return rows
+
+    def pivot(self, row, col):
+        """Scale ``row`` so that its entry at ``col`` is one."""
+        inv = self.one / row[col]
+        for j in row:
+            row[j] = row[j] * inv
+
+    def reduce(self, row, col, a, rest, rid, index):
+        """row <- row - row[col] pivot (the pivot entry ``a`` is one)."""
+        c = row.pop(col)
+        get = row.get
+        for j, v in rest:
+            w = get(j)
+            if w is None:
+                row[j] = -(c * v)
+                index[j].add(rid)
+            else:
+                w = w - c * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+                    index[j].discard(rid)
+
+    def quotient(self, v, a):
+        return v / a
+
+
+def _row_kind(field):
+    if isinstance(field, RationalField):
+        return _IntegerRows()
+    if isinstance(field, PrimeField):
+        return _ResidueRows(field.p)
+    return _ElementRows(field)
+
+
+def _eliminate(rows, kind, keep_pivots=False):
+    """Gaussian elimination of ``rows`` (consumed); returns (rank, pivots).
 
     Pivot choice is deterministic: smallest column first, then the sparsest
-    candidate row, then smallest row index.
+    candidate row, then the smallest row index.  Candidates come from a
+    column -> row indices map kept up to date on fill-in and cancellation.
+    ``pivots`` is the list of (column, pivot row) when ``keep_pivots`` is
+    set, else None.
     """
-    rows = [dict(r) for r in _row_major(m).values()]
-    n = m.cols
-    one = m.field.one
-    pivots = []  # (col, reduced row)
-    for col in range(n):
-        cand = [r for r in rows if col in r]
+    index = {}
+    for rid, row in rows.items():
+        for j in row:
+            cand = index.get(j)
+            if cand is None:
+                index[j] = {rid}
+            else:
+                cand.add(rid)
+    # Fill-in only lands in columns of a pivot row, which are already keys.
+    rank = 0
+    pivots = [] if keep_pivots else None
+    for col in sorted(index):
+        cand = index.pop(col)
         if not cand:
             continue
-        cand.sort(key=lambda r: (len(r), min(r)))
-        piv = cand[0]
-        rows.remove(piv)
-        inv = one / piv[col]
-        piv = {j: v * inv for j, v in piv.items()}
-        nxt = []
-        for r in rows:
-            c = r.get(col)
-            if c is None:
-                nxt.append(r)
+        pid = min(cand, key=lambda rid: (len(rows[rid]), rid))
+        cand.discard(pid)
+        piv = rows.pop(pid)
+        kind.pivot(piv, col)
+        a = piv[col]
+        rest = [(j, v) for j, v in piv.items() if j != col]
+        for j, _ in rest:
+            index[j].discard(pid)
+        for rid in cand:
+            row = rows[rid]
+            kind.reduce(row, col, a, rest, rid, index)
+            if not row:
+                del rows[rid]
+        rank += 1
+        if keep_pivots:
+            pivots.append((col, piv))
+    return rank, pivots
+
+
+def _composes_to_zero(rows_out, rows_in, p):
+    """Whether the product of two matrices given as rows is zero (mod p if
+    p is nonzero)."""
+    for row in rows_out.values():
+        acc = {}
+        for k, a in row.items():
+            src = rows_in.get(k)
+            if src is None:
                 continue
-            new = dict(r)
-            for j, v in piv.items():
-                w = new.get(j)
-                s = -c * v if w is None else w - c * v
-                if s:
-                    new[j] = s
-                elif w is not None:
-                    del new[j]
-            if new:
-                nxt.append(new)
-        rows = nxt
-        pivots.append((col, piv))
-    rank = len(pivots)
-    if not want_kernel:
-        return rank, None
-    # Back-substitute to reduced echelon form.
+            for j, b in src.items():
+                cur = acc.get(j)
+                acc[j] = a * b if cur is None else cur + a * b
+        if any(v % p if p else v for v in acc.values()):
+            return False
+    return True
+
+
+def rank(m, rows=None):
+    """Rank of ``m`` over its scalar field.
+
+    ``rows`` is ``m`` already in elimination form, from a caller that
+    converted it for another use; elimination consumes it.
+    """
+    kind = _row_kind(m.field)
+    if rows is None:
+        rows = kind.rows(m)
+    return _eliminate(rows, kind)[0]
+
+
+def kernel_basis(m):
+    """Basis of ker(m) as a list of sparse vectors (index -> scalar), read
+    off the reduced echelon form: one vector per free column."""
+    kind = _row_kind(m.field)
+    _, pivots = _eliminate(kind.rows(m), kind, keep_pivots=True)
+    # Back-substitute to reduced echelon form; no candidate index is needed.
+    unused = defaultdict(set)
     for idx in range(len(pivots) - 1, -1, -1):
         col, row = pivots[idx]
-        for jdx in range(idx):
-            pcol, prow = pivots[jdx]
-            c = prow.get(col)
-            if c is None:
-                continue
-            new = dict(prow)
-            for j, v in row.items():
-                w = new.get(j)
-                s = -c * v if w is None else w - c * v
-                if s:
-                    new[j] = s
-                elif w is not None:
-                    del new[j]
-            pivots[jdx] = (pcol, new)
+        rest = [(j, v) for j, v in row.items() if j != col]
+        for _, prow in pivots[:idx]:
+            if col in prow:
+                kind.reduce(prow, col, row[col], rest, None, unused)
     pivot_cols = {c for c, _ in pivots}
+    one = m.field.one
     basis = []
-    for free in range(n):
+    for free in range(m.cols):
         if free in pivot_cols:
             continue
         vec = {free: one}
         for c, row in pivots:
             v = row.get(free)
             if v is not None:
-                vec[c] = -v
+                vec[c] = kind.quotient(-v, row[c])
         basis.append(vec)
-    return rank, basis
-
-
-def rank(m):
-    """Rank of ``m`` over its scalar field."""
-    r, _ = _eliminate(m)
-    return r
-
-
-def kernel_basis(m):
-    """Basis of ker(m) as a list of sparse vectors (index -> scalar)."""
-    _, basis = _eliminate(m, want_kernel=True)
     return basis
 
 
-def homology_dim(d_in, d_out):
-    """dim ker(d_out) - rank(d_in) for a composable pair with d_out.d_in = 0."""
+def homology_dim(d_in, d_out, ranks=None, keys=None):
+    """dim ker(d_out) - rank(d_in) for a composable pair with d_out.d_in = 0.
+
+    A caller that meets one map in several pairs passes a ``ranks`` dict
+    and the pair's ``keys`` (key of d_in, key of d_out): a rank found
+    under its key is not computed again, and a computed one is stored.
+    The composition is checked in every call.
+    """
     if d_in.rows != d_out.cols:
         raise ShapeMismatch(
             "middle spaces disagree: d_in lands in dim %d, d_out starts in dim %d"
             % (d_in.rows, d_out.cols))
-    if not (d_out @ d_in).is_zero():
+    kind = _row_kind(d_out.field)
+    rows_in, rows_out = kind.rows(d_in), kind.rows(d_out)
+    if not _composes_to_zero(rows_out, rows_in, d_out.field.characteristic):
         raise CompositionNonzero("d_out . d_in != 0")
-    return (d_out.cols - rank(d_out)) - rank(d_in)
+    if ranks is None:
+        ranks, keys = {}, ("in", "out")
+    key_in, key_out = keys
+    if key_out not in ranks:
+        ranks[key_out] = rank(d_out, rows_out)
+    if key_in not in ranks:
+        ranks[key_in] = rank(d_in, rows_in)
+    return (d_out.cols - ranks[key_out]) - ranks[key_in]

@@ -210,6 +210,38 @@ group order 2 weights 0 1
     assert code == EXIT_SECTOR
 
 
+@pytest.mark.parametrize("command, text", [
+    (["jacobi"], "field prime 4\nvariables x\npotential x^3\n"),
+    (["jacobi"], "variables x\npotential x^3\nwindow tensor=abc\n"),
+    (["hh"], "variables x\npotential x^3\nwindow maxr=1.5\n"),
+    (["hh"], "variables x\npotential x^3\nwindow degrees=1,a\n"),
+    (["orbifold"], "variables x\npotential x^3\ngroup order 0 weights 1\n"),
+    (["hh", "--variant", "ordinary"],
+     "variables x\npotential x^3\ncarrier truncated 3\n"),
+    (["hh", "--variant", "ordinary"],
+     "variables x\npotential x^2\ncarrier truncated 3 3\n"),
+    (["hh", "--variant", "ordinary"],
+     "variables x\npotential x^2\ncarrier truncated 0\n"),
+], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
+        "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
+        "carrier-length", "carrier-power-0"])
+def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
+    path = write(tmp_path, "bad.lg", text)
+    code, _, err = run(capsys, [command[0], path] + command[1:])
+    assert code == EXIT_PARSE
+    assert "error" in err and "Traceback" not in err
+
+
+def test_window_below_one_is_rejected(tmp_path, capsys):
+    path = write(tmp_path, "x2.lg", X2_FINITE)
+    code, _, err = run(capsys, ["hh", path, "--variant", "ordinary",
+                                "--window", "0"])
+    assert code == EXIT_PARSE and "Traceback" not in err
+    path = write(tmp_path, "x2w.lg", X2_FINITE + "window tensor=0\n")
+    code, _, err = run(capsys, ["hh", path, "--variant", "ordinary"])
+    assert code == EXIT_PARSE and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Determinism and parsing details
 

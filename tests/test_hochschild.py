@@ -208,6 +208,35 @@ def test_bm_spot_homology_direct():
     assert bm_spot_homology(model, 1, 2) == 1
 
 
+def test_bm_ranks_each_differential_once(monkeypatch):
+    import lghomology.hochschild as hochschild
+    import lghomology.linalg as linalg
+
+    built = {}      # id(matrix) -> (n, q); the matrices are kept alive
+    real_diff, real_rank = hochschild._bm_differential, linalg.rank
+
+    def differential(model, n, q):
+        m = real_diff(model, n, q)
+        built[id(m)] = (m, (n, q))
+        return m
+
+    ranked = []
+
+    def counting_rank(m, *rest):
+        ranked.append(built[id(m)][1])
+        return real_rank(m, *rest)
+
+    monkeypatch.setattr(hochschild, "_bm_differential", differential)
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    model = make_model("x^3+y^3", "xy")
+    rep = hh_bm_graded(model, [2, 3, 4], max_r=5)
+    assert rep.dims == {(2, 0): 1, (3, 0): 2, (4, 0): 1,
+                        (2, 1): 0, (3, 1): 0, (4, 1): 0}
+    # both parities at shift r use the differential at (2 + 2r + 1, q)
+    assert (3, 3) in ranked and (5, 6) in ranked
+    assert len(ranked) == len(set(ranked))
+
+
 # ---------------------------------------------------------------------------
 # Compact type
 
