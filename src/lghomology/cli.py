@@ -29,8 +29,9 @@ from fractions import Fraction
 from .errors import (LGError, NoStabilization, NonIsolated, NonIsolatedSector,
                      ParseError)
 from .hochschild import hh_bm_graded, hh_ordinary
-from .jacobi import INFINITE, LGModel, canonical_module, jacobi_data
-from .koszul import koszul_concentrated, koszul_homology_dims
+from .jacobi import (INFINITE, LGModel, canonical_data, canonical_module,
+                     jacobi_data, socle_degree)
+from .koszul import dims_concentrated, koszul_homology_dims
 from .linalg import PrimeField, QQ
 from .mf import (MatrixFactorization, PolyMatrix, ext_dims,
                  verify_graded_degrees, verify_mf)
@@ -287,7 +288,7 @@ def cmd_jacobi(args):
         "graded_dims": dict(data.dims.dims),
     }
     if isolated and model.is_homogeneous():
-        can = canonical_module(model)
+        can = canonical_data(model, data)
         report["canonical_shift"] = can.shift
         report["canonical_parity"] = can.parity
         report["canonical_dims"] = dict(can.dims.dims)
@@ -416,13 +417,12 @@ def cmd_orbifold(args):
 def cmd_koszul(args):
     mf = load_model_file(args.model)
     model = mf.build()
-    concentrated = koszul_concentrated(model)
-    from .jacobi import socle_degree
-    dims = koszul_homology_dims(model, socle_degree(model) + model.degree)
+    max_grade = socle_degree(model) + model.degree
+    dims = koszul_homology_dims(model, max_grade)
     return {
         "command": "koszul",
         "potential": args_potential(mf),
-        "concentrated": concentrated,
+        "concentrated": dims_concentrated(model, dims, max_grade),
         "homology": {str(k): dict(v) for k, v in dims.items()},
     }
 

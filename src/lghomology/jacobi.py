@@ -93,12 +93,17 @@ def jacobi_data(model):
 
 
 def canonical_module(model):
-    """Top-form quotient data: quotient-ring dims shifted by the volume degree.
+    """Top-form quotient data of the model; see :func:`canonical_data`."""
+    return canonical_data(model, jacobi_data(model))
 
-    The degree shift is the weighted degree of the volume form (sum of the
-    variable weights); the parity is the variable count mod 2.
+
+def canonical_data(model, data):
+    """Top-form quotient data from the model's :class:`JacobiData`.
+
+    The quotient-ring dims are shifted by the weighted degree of the volume
+    form (sum of the variable weights); the parity is the variable count
+    mod 2.
     """
-    data = jacobi_data(model)
     if data.milnor is INFINITE:
         raise NonIsolated("critical points are not isolated")
     model.require_homogeneous()

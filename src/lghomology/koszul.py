@@ -151,10 +151,18 @@ def koszul_homology_dims(model, max_grade):
 
 def koszul_concentrated(model, max_grade=None):
     """True when homology sits only at spot zero, matching the quotient ring."""
-    from .jacobi import jacobi_data, socle_degree
+    from .jacobi import socle_degree
     if max_grade is None:
         max_grade = socle_degree(model) + model.degree
     dims = koszul_homology_dims(model, max_grade)
+    return dims_concentrated(model, dims, max_grade)
+
+
+def dims_concentrated(model, dims, max_grade):
+    """True when Koszul homology ``dims`` up to ``max_grade`` (as returned by
+    :func:`koszul_homology_dims`) sit only at spot zero and equal the
+    quotient ring's graded dims there."""
+    from .jacobi import jacobi_data
     if any(k != 0 for k in dims):
         return False
     expected = {g: n for g, n in jacobi_data(model).dims.dims.items()

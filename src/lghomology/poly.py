@@ -16,6 +16,7 @@ Implicit multiplication is not supported; use '*'.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass, field as dc_field
@@ -23,6 +24,11 @@ from fractions import Fraction
 
 from .errors import NotZeroDimensional, ParseError, UnknownVariable
 from .linalg import QQ
+
+# Largest weighted degree a power ``base^e`` may have in parsed input
+# (e times the degree of the base, a constant counting as degree 1).
+# Larger powers are refused before any multiplication.
+MAX_POWER_DEGREE = 100
 
 
 @dataclass(frozen=True)
@@ -321,11 +327,17 @@ def parse_polynomial(text, ring):
         base = parse_atom()
         if peek() in ("^", "**"):
             advance()
-            if peek() is None or not peek().isdigit():
+            digits = peek()
+            if digits is None or not digits.isdigit():
                 raise ParseError("expected integer exponent", pos())
-            e = int(peek())
+            degree = max(base.degree(), 1)
+            # The length test keeps int() away from huge digit strings.
+            if (len(digits.lstrip("0")) > len(str(MAX_POWER_DEGREE)) or
+                    int(digits) * degree > MAX_POWER_DEGREE):
+                raise ParseError("power of degree above %d"
+                                 % MAX_POWER_DEGREE, pos())
             advance()
-            base = base ** e
+            base = base ** int(digits)
         return base
 
     def parse_atom():
@@ -372,93 +384,122 @@ class GroebnerBasis:
         return iter(self.generators)
 
 
-def _reduce_once(f, gens):
-    """One full normal-form pass of ``f`` against ``gens``."""
+def _reduce_once(f, gens, leads):
+    """One full normal-form pass of ``f`` against ``gens``.
+
+    ``leads[k]`` is the leading monomial of ``gens[k]``.  The terms still to
+    reduce sit in a heap keyed by the negated order key, so the largest
+    comes out first; an entry whose term has cancelled is skipped.
+    """
     ring = f.ring
     one = ring.field.one
     remainder = {}
     work = dict(f.terms)
-    while work:
-        mono = max(work, key=ring.order_key)
-        coeff = work.pop(mono)
-        hit = None
-        for g in gens:
-            if mono_divides(g.leading_monomial(), mono):
-                hit = g
+    heap = [(-ring.weighted_degree(m), m[::-1]) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        mono = heapq.heappop(heap)[1][::-1]
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue
+        for k, lead in enumerate(leads):
+            if mono_divides(lead, mono):
                 break
-        if hit is None:
+        else:
             remainder[mono] = coeff
             continue
-        quot_mono = mono_div(mono, hit.leading_monomial())
-        factor = coeff * (one / hit.leading_coeff())
+        hit = gens[k]
+        quot_mono = mono_div(mono, lead)
+        factor = coeff * (one / hit.terms[lead])
         for gm, gc in hit.terms.items():
             key = mono_mul(gm, quot_mono)
             if key == mono:
                 continue
             cur = work.get(key)
-            s = -factor * gc if cur is None else cur - factor * gc
+            if cur is None:
+                work[key] = -factor * gc
+                heapq.heappush(heap, (-ring.weighted_degree(key), key[::-1]))
+                continue
+            s = cur - factor * gc
             if s:
                 work[key] = s
-            elif cur is not None:
+            else:
                 del work[key]
     return Polynomial(ring, remainder)
 
 
 def normal_form(f, gb):
     """Remainder of ``f`` modulo the Groebner basis; zero iff f is in the ideal."""
-    return _reduce_once(f, list(gb.generators))
+    return _reduce_once(f, list(gb.generators), gb.leading_monomials())
 
 
-def _s_polynomial(f, g):
-    lf, lg = f.leading_monomial(), g.leading_monomial()
+def _s_polynomial(f, lf, g, lg):
+    """S-polynomial of monic ``f`` and ``g`` with leading monomials lf, lg."""
     lcm = mono_lcm(lf, lg)
-    cf, cg = f.leading_coeff(), g.leading_coeff()
-    one = f.ring.field.one
-    mf = Polynomial(f.ring, {mono_div(lcm, lf): one})
-    mg = Polynomial(f.ring, {mono_div(lcm, lg): one})
-    return (mf * f).scale(one / cf) - (mg * g).scale(one / cg)
+    uf, ug = mono_div(lcm, lf), mono_div(lcm, lg)
+    return (Polynomial(f.ring, {mono_mul(m, uf): c for m, c in f.terms.items()})
+            - Polynomial(g.ring, {mono_mul(m, ug): c for m, c in g.terms.items()}))
 
 
 def buchberger(gens, ring=None):
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
+    """Reduced Groebner basis of the ideal generated by ``gens``.
+
+    Normal selection strategy: the pair with the smallest lcm of leading
+    monomials goes first, ties in the order the pairs were formed.  Each
+    basis element's leading monomial is computed once, when it joins.
+    """
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
     ring = ring or gens[0].ring
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
-    basis = [g.monic() for g in gens]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    one = ring.field.one
+    basis = []
+    leads = []
+    pairs = []      # heap of (order key of the lcm, serial, i, j)
+    serial = itertools.count()
+
+    def join(g):
+        lg = g.leading_monomial()
+        basis.append(g.scale(one / g.terms[lg]))
+        leads.append(lg)
+
+    def push(i, j):
+        lcm = mono_lcm(leads[i], leads[j])
+        # Coprime leading terms: the S-polynomial reduces to zero.
+        if lcm != mono_mul(leads[i], leads[j]):
+            heapq.heappush(pairs, (ring.order_key(lcm), next(serial), i, j))
+
+    for g in gens:
+        join(g)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            push(i, j)
     while pairs:
-        pairs.sort(key=lambda ij: ring.order_key(
-            mono_lcm(basis[ij[0]].leading_monomial(), basis[ij[1]].leading_monomial())))
-        i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
-        lf, lg = f.leading_monomial(), g.leading_monomial()
-        if mono_lcm(lf, lg) == mono_mul(lf, lg):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        s = _reduce_once(_s_polynomial(f, g), basis)
+        _key, _serial, i, j = heapq.heappop(pairs)
+        s = _reduce_once(_s_polynomial(basis[i], leads[i], basis[j], leads[j]),
+                         basis, leads)
         if s:
-            basis.append(s.monic())
+            join(s)
             k = len(basis) - 1
-            pairs.extend((i2, k) for i2 in range(k))
+            for i2 in range(k):
+                push(i2, k)
     # Minimalize: drop generators whose leading term is divisible by another's.
-    minimal = []
-    for i, g in enumerate(basis):
-        lm = g.leading_monomial()
-        if any(mono_divides(h.leading_monomial(), lm)
-               for j, h in enumerate(basis) if j != i and
-               (h.leading_monomial() != lm or j < i)):
-            continue
-        minimal.append(g)
+    minimal = [i for i, lm in enumerate(leads)
+               if not any(mono_divides(lh, lm) for j, lh in enumerate(leads)
+                          if j != i and (lh != lm or j < i))]
     # Reduce each generator against the others.
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = _reduce_once(g, others) if others else g
-        reduced.append(r.monic())
-    reduced.sort(key=lambda p: ring.order_key(p.leading_monomial()))
-    return GroebnerBasis(ring, tuple(reduced))
+    for n, i in enumerate(minimal):
+        others = minimal[:n] + minimal[n + 1:]
+        g = basis[i]
+        if others:
+            g = _reduce_once(g, [basis[j] for j in others],
+                             [leads[j] for j in others]).monic()
+        reduced.append((ring.order_key(leads[i]), g))
+    reduced.sort(key=lambda kg: kg[0])
+    return GroebnerBasis(ring, tuple(g for _key, g in reduced))
 
 
 def is_zero_dimensional(gb):

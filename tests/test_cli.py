@@ -1,12 +1,18 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import time
 
 import pytest
+
+import lghomology.cli as cli
+import lghomology.jacobi as jacobi
+import lghomology.koszul as koszul
 
 from lghomology.cli import (EXIT_ISOLATION, EXIT_MF_VERIFY, EXIT_PARSE,
                             EXIT_SECTOR, main, parse_model_file)
 from lghomology.errors import ParseError
+from lghomology.poly import MAX_POWER_DEGREE
 
 QUARTIC = """\
 field rational
@@ -240,6 +246,53 @@ def test_window_below_one_is_rejected(tmp_path, capsys):
     path = write(tmp_path, "x2w.lg", X2_FINITE + "window tensor=0\n")
     code, _, err = run(capsys, ["hh", path, "--variant", "ordinary"])
     assert code == EXIT_PARSE and "Traceback" not in err
+
+
+@pytest.mark.parametrize("potential", [
+    "x^1000000000", "(x^2+1)^%d" % (MAX_POWER_DEGREE // 2 + 1),
+    "2^" + "9" * 5000,
+], ids=["huge-exponent", "degree-above-limit", "5000-digit-exponent"])
+def test_exponent_bomb_is_refused_at_parse_time(tmp_path, capsys, potential):
+    path = write(tmp_path, "bomb.lg", "variables x\npotential %s\n" % potential)
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["jacobi", path])
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_PARSE
+    assert "error" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Work done once per job
+
+
+def _counting(monkeypatch, fn, *modules):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    for mod in modules:
+        monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_jacobi_job_computes_the_jacobi_ideal_once(tmp_path, capsys,
+                                                   monkeypatch):
+    calls = _counting(monkeypatch, jacobi.jacobi_ideal, jacobi)
+    path = write(tmp_path, "x3.lg", X3)
+    code, out, _ = run(capsys, ["jacobi", path, "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["canonical_dims"] == {"1": 1, "2": 1}
+    assert len(calls) == 1
+
+
+def test_koszul_job_computes_the_homology_once(tmp_path, capsys,
+                                               monkeypatch):
+    calls = _counting(monkeypatch, koszul.koszul_homology_dims, koszul, cli)
+    path = write(tmp_path, "x3.lg", X3)
+    code, out, _ = run(capsys, ["koszul", path, "--format", "machine"])
+    assert code == 0 and json.loads(out)["concentrated"] is True
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lghomology.errors import NotZeroDimensional, ParseError, UnknownVariable
-from lghomology.poly import (PolyRing, Polynomial, buchberger,
-                             format_polynomial, graded_quotient_dims,
-                             is_zero_dimensional, normal_form,
-                             parse_polynomial, standard_monomials)
+from lghomology.jacobi import LGModel, expected_weighted_milnor
+from lghomology.linalg import PrimeField, QQ
+from lghomology.poly import (MAX_POWER_DEGREE, PolyRing, Polynomial,
+                             buchberger, format_polynomial,
+                             graded_quotient_dims, is_zero_dimensional,
+                             normal_form, parse_polynomial,
+                             standard_monomials)
 
 RING = PolyRing(("x", "y", "z"))
 
@@ -30,6 +33,19 @@ def test_parse_rejects_garbage():
     for src in ("x+", "(x", "x^", "^2", "x//2"):
         with pytest.raises(ParseError):
             parse_polynomial(src, RING)
+
+
+def test_parse_refuses_powers_above_the_degree_limit():
+    ring = PolyRing(("x", "y"))
+    top = parse_polynomial("x^%d" % MAX_POWER_DEGREE, ring)
+    assert top.degree() == MAX_POWER_DEGREE
+    for src in ("x^%d" % (MAX_POWER_DEGREE + 1),
+                "(x*y)^%d" % (MAX_POWER_DEGREE // 2 + 1),
+                "2^%d" % (MAX_POWER_DEGREE + 1),
+                "x^1000000000",
+                "x^" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_polynomial(src, ring)
 
 
 def test_double_star_exponent():
@@ -146,3 +162,67 @@ def test_division_by_constant_only():
     assert parse_polynomial("x/2", RING) == parse_polynomial("1/2*x", RING)
     with pytest.raises(ParseError):
         parse_polynomial("1/x", RING)
+
+
+# ---------------------------------------------------------------------------
+# Reduced Groebner bases against sympy
+
+
+def _ideal_terms(nvars):
+    mono = st.tuples(*[st.integers(0, 2)] * nvars)
+    term = st.tuples(mono, st.integers(-3, 3).filter(bool))
+    return st.lists(st.lists(term, min_size=1, max_size=3),
+                    min_size=1, max_size=3)
+
+
+def _groebner_case(data, modulus):
+    """Our reduced basis and sympy's, each as term maps, ours in order."""
+    import sympy
+
+    nvars = data.draw(st.integers(2, 3))
+    gens = data.draw(_ideal_terms(nvars))
+    field = QQ if modulus is None else PrimeField(modulus)
+    ring = PolyRing(("x", "y", "z")[:nvars], field=field)
+    polys = []
+    for terms in gens:
+        acc = {}
+        for mono, c in terms:
+            acc[mono] = acc.get(mono, field.zero) + field.from_int(c)
+        polys.append(Polynomial(ring, acc))
+    polys = [p for p in polys if p]
+    assume(polys)
+    ours = [{m: c for m, c in g.terms.items()}
+            for g in buchberger(polys, ring)]
+    xs = sympy.symbols(ring.names)
+    exprs = [sum(c * sympy.prod(x ** e for x, e in zip(xs, mono))
+                 for mono, c in terms) for terms in gens]
+    kwargs = {"domain": "QQ"} if modulus is None else {"modulus": modulus}
+    sym = sympy.groebner(exprs, *xs, order="grevlex", **kwargs)
+    theirs = [{m: field.from_fraction(Fraction(int(c.p), int(c.q)))
+               if modulus is None else field.from_int(int(c))
+               for m, c in p.as_dict().items()}
+              for p in sym.polys]
+    theirs.sort(key=lambda t: ring.order_key(max(t, key=ring.order_key)))
+    return ours, theirs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduced_basis_matches_sympy_over_q(data):
+    ours, theirs = _groebner_case(data, None)
+    assert ours == theirs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduced_basis_matches_sympy_over_gf7(data):
+    ours, theirs = _groebner_case(data, 7)
+    assert ours == theirs
+
+
+def test_weighted_quotient_dimension_matches_milnor_formula():
+    ring = PolyRing(("x", "y", "z"), (1, 2, 3))
+    w = parse_polynomial("x^6+y^3+z^2+2*x^4*y+x^2*y^2", ring)
+    gb = buchberger([w.diff(i) for i in range(3)], ring)
+    assert len(standard_monomials(gb)) == \
+        expected_weighted_milnor(LGModel(ring, w)) == 10
