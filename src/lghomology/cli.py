@@ -31,10 +31,7 @@ from .errors import (LGError, NoStabilization, NonIsolated, NonIsolatedSector,
 from .hochschild import hh_bm_graded, hh_ordinary
 from .jacobi import (INFINITE, LGModel, canonical_data, canonical_module,
                      jacobi_data, socle_degree)
-from .koszul import dims_concentrated, koszul_homology_dims
 from .linalg import PrimeField, QQ
-from .mf import (MatrixFactorization, PolyMatrix, ext_dims,
-                 verify_graded_degrees, verify_mf)
 from .orbifold import GroupAction, cross_product, orbifold_hh_bm
 from .poly import PolyRing, parse_polynomial
 
@@ -189,6 +186,7 @@ def load_model_file(path):
 
 def parse_mf_file(text, ring):
     """Factorization file: P0/P1 matrices plus optional twist lists."""
+    from .mf import PolyMatrix
     data = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -214,6 +212,7 @@ def parse_mf_file(text, ring):
 
 
 def load_mf_file(path, model):
+    from .mf import MatrixFactorization
     try:
         with open(path) as fh:
             text = fh.read()
@@ -355,6 +354,7 @@ def cmd_hh(args):
 
 
 def cmd_mf(args):
+    from .mf import ext_dims, verify_graded_degrees, verify_mf
     mf = load_model_file(args.model)
     model = mf.build()
     fact = load_mf_file(args.factorization, model)
@@ -415,14 +415,15 @@ def cmd_orbifold(args):
 
 
 def cmd_koszul(args):
+    from . import koszul
     mf = load_model_file(args.model)
     model = mf.build()
     max_grade = socle_degree(model) + model.degree
-    dims = koszul_homology_dims(model, max_grade)
+    dims = koszul.koszul_homology_dims(model, max_grade)
     return {
         "command": "koszul",
         "potential": args_potential(mf),
-        "concentrated": dims_concentrated(model, dims, max_grade),
+        "concentrated": koszul.dims_concentrated(model, dims, max_grade),
         "homology": {str(k): dict(v) for k, v in dims.items()},
     }
 

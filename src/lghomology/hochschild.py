@@ -19,8 +19,6 @@ determine parities).  Cochain matrices are built by ``CochainWindow``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import (BadFunctional, InfiniteCarrier, NoStabilization,
                      PositiveDegreeCarrier, WindowTooSmall)
 # ``rank`` is unused here but kept: lghbench/tracer.py rebinds hochschild.rank
@@ -490,11 +488,11 @@ def cochain_diff(algebra, max_tensor):
 # Homology reports and windowed computations
 
 
-@dataclass
 class HomologyReport:
-    variant: str
-    dims: dict
-    stabilization: dict = dc_field(default_factory=dict)
+    def __init__(self, variant, dims, stabilization=None):
+        self.variant = variant
+        self.dims = dims
+        self.stabilization = {} if stabilization is None else stabilization
 
 
 def _assemble_block(src_ks, dst_ks, src_dims, dst_dims, blocks, field):
@@ -769,18 +767,17 @@ def compact_type_check(algebra, max_internal=4, tensor_cap=None):
 # Bicomplex windows (finite backend)
 
 
-@dataclass
 class BicomplexWindow:
     """Rectangle of the chain bicomplex with its two differentials."""
 
-    algebra: object
-    imin: int
-    imax: int
-    jmin: int
-    jmax: int
-    horizontal: dict   # (i, j) -> matrix of the raising part, to (i-1, j)
-    vertical: dict     # (i, j) -> matrix of the lowering part, to (i, j-1)
-    chain_dims: dict   # (i, j) -> dimension of C_{j-i}
+    def __init__(self, algebra, imin, imax, jmin, jmax, horizontal, vertical,
+                 chain_dims):
+        self.algebra = algebra
+        self.imin, self.imax = imin, imax
+        self.jmin, self.jmax = jmin, jmax
+        self.horizontal = horizontal  # (i, j) -> raising part, to (i-1, j)
+        self.vertical = vertical      # (i, j) -> lowering part, to (i, j-1)
+        self.chain_dims = chain_dims  # (i, j) -> dimension of C_{j-i}
 
     @classmethod
     def build(cls, algebra, imin, imax, jmin, jmax):

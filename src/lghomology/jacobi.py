@@ -7,28 +7,40 @@ graded dimension series, and the top-form quotient with its degree shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonHomogeneous, NonIsolated, ZeroPotentialGradient
-from .poly import (DimensionSeries, GroebnerBasis, PolyRing, Polynomial,
-                   buchberger, graded_quotient_dims, is_zero_dimensional,
-                   standard_monomials)
+from .poly import (DimensionSeries, buchberger, graded_quotient_dims,
+                   is_zero_dimensional, standard_monomials)
 
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
 class LGModel:
-    """A polynomial ring with graded variables plus a potential."""
+    """A polynomial ring with graded variables plus a potential.
 
-    ring: PolyRing
-    potential: Polynomial
+    A value type: equal rings and potentials give equal models.
+    """
 
-    def __post_init__(self):
-        if self.potential.ring != self.ring:
+    def __init__(self, ring, potential):
+        if potential.ring != ring:
             raise ValueError("potential lives in a different ring")
-        if self.potential.degree() < 1:
+        if potential.degree() < 1:
             raise ValueError("potential must be nonconstant")
+        self.ring = ring
+        self.potential = potential
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring and self.potential == other.potential
+
+    def __hash__(self):
+        return hash((self.ring, self.potential))
+
+    def __repr__(self):
+        return "LGModel(%r, %r)" % (self.ring, self.potential)
 
     @property
     def degree(self):
@@ -47,20 +59,20 @@ class LGModel:
         return sum(self.ring.weights)
 
 
-@dataclass
 class JacobiData:
-    ideal: GroebnerBasis
-    milnor: object  # int or INFINITE
-    dims: DimensionSeries  # empty when milnor is infinite
+    def __init__(self, ideal, milnor, dims):
+        self.ideal = ideal      # GroebnerBasis
+        self.milnor = milnor    # int or INFINITE
+        self.dims = dims        # DimensionSeries, empty when milnor is infinite
 
 
-@dataclass
 class CanonicalData:
     """Graded data of the top-form quotient: shifted dimension series + parity."""
 
-    dims: DimensionSeries
-    parity: int
-    shift: int
+    def __init__(self, dims, parity, shift):
+        self.dims = dims
+        self.parity = parity
+        self.shift = shift
 
 
 def jacobi_ideal(model):

@@ -15,7 +15,6 @@ entries carry the rescaled grading 2(|f| - b + a)/d - (l - k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 from .errors import (DegreeConstraintViolated, MethodUnsupported,
                      ModelMismatch, NoStabilization, ParityViolation,
@@ -101,7 +100,6 @@ class PolyMatrix:
 # Matrix factorizations
 
 
-@dataclass
 class MatrixFactorization:
     """P0: E0 -> E1 and P1: E1 -> E0 with both compositions W times id.
 
@@ -110,15 +108,14 @@ class MatrixFactorization:
     by a polynomial of degree m).
     """
 
-    model: object
-    P0: PolyMatrix
-    P1: PolyMatrix
-    twists0: tuple = None
-    twists1: tuple = None
-
-    def __post_init__(self):
-        if self.P0.ncols != self.P1.nrows or self.P0.nrows != self.P1.ncols:
+    def __init__(self, model, P0, P1, twists0=None, twists1=None):
+        if P0.ncols != P1.nrows or P0.nrows != P1.ncols:
             raise ShapeMismatch("factor shapes are not composable")
+        self.model = model
+        self.P0 = P0
+        self.P1 = P1
+        self.twists0 = twists0
+        self.twists1 = twists1
 
     @property
     def rank0(self):
@@ -205,7 +202,6 @@ def _block(ring, grid):
 # Hom complexes
 
 
-@dataclass
 class HomComplex:
     """Two-periodic complex of B-linear maps between two factorizations.
 
@@ -214,12 +210,13 @@ class HomComplex:
     coordinates with polynomial coefficients.
     """
 
-    src: MatrixFactorization
-    dst: MatrixFactorization
-    d_even: PolyMatrix
-    d_odd: PolyMatrix
-    even_entries: list = dc_field(default_factory=list)
-    odd_entries: list = dc_field(default_factory=list)
+    def __init__(self, src, dst, d_even, d_odd, even_entries, odd_entries):
+        self.src = src
+        self.dst = dst
+        self.d_even = d_even
+        self.d_odd = d_odd
+        self.even_entries = even_entries
+        self.odd_entries = odd_entries
 
 
 def _hom_blocks(src, dst, parity):
@@ -491,8 +488,13 @@ def ext_dims(src, dst, method="smith", bound=12):
         return even, odd
     if method == "truncate":
         src.model.require_homogeneous()
+        ring = src.model.ring
         prev = None
         for cap in range(2, bound + 1):
+            # A cap with no monomial of its own degree repeats the window
+            # below it, so agreeing with it would prove nothing.
+            if not ring.monomials_of_degree(cap):
+                continue
             val = _filtered_dims(hom, cap)
             if prev is not None and val == prev:
                 return val
@@ -515,20 +517,18 @@ def hat_degree(f_degree, src, dst, d):
     return 2 * (f_degree - b + a) // d - (l - k)
 
 
-@dataclass
 class TwistObject:
     """Direct sum of (residue, shift) summands with an odd twisting map.
 
     ``delta.data[r][c]`` is the component from summand c to summand r.
     """
 
-    summands: list  # [(a, k)]
-    delta: PolyMatrix
-
-    def __post_init__(self):
-        n = len(self.summands)
-        if self.delta.nrows != n or self.delta.ncols != n:
+    def __init__(self, summands, delta):
+        n = len(summands)
+        if delta.nrows != n or delta.ncols != n:
             raise ShapeMismatch("delta must be square of the summand count")
+        self.summands = summands  # [(a, k)]
+        self.delta = delta
 
     def entry_hat_degree(self, model, r, c):
         """Hat degree of the (r, c) entry, None when the entry vanishes."""

@@ -15,7 +15,6 @@ per-sector restriction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -30,22 +29,32 @@ from .poly import (PolyRing, Polynomial, is_zero_dimensional,
 # Group actions
 
 
-@dataclass(frozen=True)
 class GroupAction:
     """Diagonal action of a product of cyclic groups on the variables.
 
     ``orders`` lists the cyclic orders; ``weights[v]`` gives the character
     exponents of variable v, one per cyclic factor.  Elements are exponent
-    tuples of the same length as ``orders``.
+    tuples of the same length as ``orders``.  A value type: equal orders
+    and weights give equal actions.
     """
 
-    orders: tuple
-    weights: tuple  # per variable, tuple of exponents per factor
-
-    def __post_init__(self):
-        for w in self.weights:
-            if len(w) != len(self.orders):
+    def __init__(self, orders, weights):
+        for w in weights:
+            if len(w) != len(orders):
                 raise ValueError("weight tuple length must match the orders")
+        self.orders = orders
+        self.weights = weights  # per variable, tuple of exponents per factor
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.orders == other.orders and self.weights == other.weights
+
+    def __hash__(self):
+        return hash((self.orders, self.weights))
+
+    def __repr__(self):
+        return "GroupAction(%r, %r)" % (self.orders, self.weights)
 
     @classmethod
     def cyclic(cls, d, weights):
@@ -133,7 +142,6 @@ def restrict_potential(model, fixed_vars):
 # Sectors
 
 
-@dataclass
 class SectorReport:
     """Contribution of one group element.
 
@@ -141,11 +149,12 @@ class SectorReport:
     fixed-space dimension mod 2.
     """
 
-    g: tuple
-    fixed_vars: tuple
-    restricted: object  # LGModel or None for point sectors
-    classes: list
-    parity: int
+    def __init__(self, g, fixed_vars, restricted, classes, parity):
+        self.g = g
+        self.fixed_vars = fixed_vars
+        self.restricted = restricted    # LGModel or None for point sectors
+        self.classes = classes
+        self.parity = parity
 
     @property
     def dim(self):
@@ -198,14 +207,16 @@ def coinvariant_dims(classes, action, field=QQ):
     return sum(1 for _deg, c in classes if c == zero)
 
 
-@dataclass
 class OrbifoldReport:
-    sectors: list
-    invariant_counts: dict   # g -> invariant class count
-    combined: dict           # class degree (identity-sector Jacobi degree) -> dim
-    even_total: int
-    odd_total: int
-    twisted_count: int
+    def __init__(self, sectors, invariant_counts, combined, even_total,
+                 odd_total, twisted_count):
+        self.sectors = sectors
+        self.invariant_counts = invariant_counts  # g -> invariant class count
+        # class degree (identity-sector Jacobi degree) -> dim
+        self.combined = combined
+        self.even_total = even_total
+        self.odd_total = odd_total
+        self.twisted_count = twisted_count
 
     @property
     def total(self):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import NotZeroDimensional, ParseError, UnknownVariable
@@ -29,26 +28,40 @@ from .linalg import QQ
 # (e times the degree of the base, a constant counting as degree 1).
 # Larger powers are refused before any multiplication.
 MAX_POWER_DEGREE = 100
+# Longest integer literal accepted: the default limit of int() on strings.
+MAX_LITERAL_DIGITS = 4300
 
 
-@dataclass(frozen=True)
 class PolyRing:
-    """Polynomial ring data: variable names, positive weights, scalar field."""
+    """Polynomial ring data: variable names, positive weights, scalar field.
 
-    names: tuple
-    weights: tuple = None
-    field: object = QQ
+    A value type: rings with the same names, weights and field are equal
+    and hash alike.  Treat the attributes as read-only.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if self.weights is None:
-            object.__setattr__(self, "weights", (1,) * len(self.names))
-        else:
-            object.__setattr__(self, "weights", tuple(self.weights))
+    def __init__(self, names, weights=None, field=QQ):
+        self.names = tuple(names)
+        self.weights = ((1,) * len(self.names) if weights is None
+                        else tuple(weights))
+        self.field = field
         if len(self.weights) != len(self.names):
             raise ValueError("weights/names length mismatch")
         if any(w <= 0 for w in self.weights):
             raise ValueError("variable weights must be positive")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names == other.names and self.weights == other.weights
+                and self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.names, self.weights, self.field))
+
+    def __repr__(self):
+        return "PolyRing(%r, %r, %r)" % (self.names, self.weights, self.field)
 
     @property
     def nvars(self):
@@ -355,6 +368,9 @@ def parse_polynomial(text, ring):
             advance()
             return -parse_atom()
         if tok.isdigit():
+            if len(tok) > MAX_LITERAL_DIGITS:
+                raise ParseError("integer literal longer than %d digits"
+                                 % MAX_LITERAL_DIGITS, pos())
             advance()
             return ring.constant(int(tok))
         if re.match(r"[A-Za-z_]", tok):
@@ -370,12 +386,20 @@ def parse_polynomial(text, ring):
     return result
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis with monic generators, deterministically sorted."""
 
-    ring: PolyRing
-    generators: tuple
+    def __init__(self, ring, generators):
+        self.ring = ring
+        self.generators = generators
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring and self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.ring, self.generators))
 
     def leading_monomials(self):
         return [g.leading_monomial() for g in self.generators]
@@ -539,11 +563,14 @@ def standard_monomials(gb, degree_cap=None):
     return out
 
 
-@dataclass
 class DimensionSeries:
     """Graded dimension counts keyed by weighted degree."""
 
-    dims: dict = dc_field(default_factory=dict)
+    def __init__(self, dims=None):
+        self.dims = {} if dims is None else dims
+
+    def __repr__(self):
+        return "DimensionSeries(%r)" % (self.dims,)
 
     @property
     def total(self):

@@ -5,14 +5,14 @@ import time
 
 import pytest
 
-import lghomology.cli as cli
 import lghomology.jacobi as jacobi
 import lghomology.koszul as koszul
 
 from lghomology.cli import (EXIT_ISOLATION, EXIT_MF_VERIFY, EXIT_PARSE,
-                            EXIT_SECTOR, main, parse_model_file)
+                            EXIT_SECTOR, EXIT_STABILIZATION, main,
+                            parse_model_file)
 from lghomology.errors import ParseError
-from lghomology.poly import MAX_POWER_DEGREE
+from lghomology.poly import MAX_LITERAL_DIGITS, MAX_POWER_DEGREE
 
 QUARTIC = """\
 field rational
@@ -204,6 +204,15 @@ def test_mf_verify_exit_code(tmp_path, capsys):
     assert code == EXIT_MF_VERIFY
 
 
+def test_stabilization_exit_code(tmp_path, capsys):
+    model = write(tmp_path, "x3.lg", X3)
+    fact = write(tmp_path, "x3.mf", MF_X3)
+    code, _, err = run(capsys, ["mf", model, fact, "ext", "--method",
+                                "truncate", "--bound", "2"])
+    assert code == EXIT_STABILIZATION
+    assert "error" in err and "Traceback" not in err
+
+
 def test_sector_exit_code(tmp_path, capsys):
     src = """\
 field rational
@@ -228,9 +237,11 @@ group order 2 weights 0 1
      "variables x\npotential x^2\ncarrier truncated 3 3\n"),
     (["hh", "--variant", "ordinary"],
      "variables x\npotential x^2\ncarrier truncated 0\n"),
+    (["jacobi"], "variables x\npotential %s*x^2\n"
+     % ("1" * (MAX_LITERAL_DIGITS + 1))),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
-        "carrier-length", "carrier-power-0"])
+        "carrier-length", "carrier-power-0", "overlong-literal"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     path = write(tmp_path, "bad.lg", text)
     code, _, err = run(capsys, [command[0], path] + command[1:])
@@ -288,7 +299,7 @@ def test_jacobi_job_computes_the_jacobi_ideal_once(tmp_path, capsys,
 
 def test_koszul_job_computes_the_homology_once(tmp_path, capsys,
                                                monkeypatch):
-    calls = _counting(monkeypatch, koszul.koszul_homology_dims, koszul, cli)
+    calls = _counting(monkeypatch, koszul.koszul_homology_dims, koszul)
     path = write(tmp_path, "x3.lg", X3)
     code, out, _ = run(capsys, ["koszul", path, "--format", "machine"])
     assert code == 0 and json.loads(out)["concentrated"] is True

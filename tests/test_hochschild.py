@@ -9,6 +9,7 @@ from lghomology.errors import (BadFunctional, InfiniteCarrier,
                                PositiveDegreeCarrier, WindowTooSmall)
 from lghomology.hochschild import (BicomplexWindow, ChainWindow,
                                    CochainWindow, FiniteCurvedAlgebra,
+                                   HomologyReport,
                                    PureCurvatureSpace, bar_minus, bar_plus,
                                    bm_spot_homology, cochain_diff,
                                    compact_type_check,
@@ -292,3 +293,9 @@ def test_graded_points_parities():
     assert alg.parity(0) == 0          # the unit
     assert alg.parity(1) == 1
     assert alg.parity(2) == 0
+
+
+def test_homology_reports_do_not_share_their_default_dict():
+    a, b = HomologyReport("ordinary", {}), HomologyReport("ordinary", {})
+    a.stabilization[0] = 2
+    assert b.stabilization == {}

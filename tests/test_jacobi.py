@@ -4,11 +4,12 @@ import pytest
 
 from conftest import make_model
 from lghomology.errors import NonHomogeneous, NonIsolated, ZeroPotentialGradient
-from lghomology.jacobi import (INFINITE, canonical_module,
+from lghomology.jacobi import (INFINITE, LGModel, canonical_module,
                                expected_weighted_milnor,
                                has_isolated_critical_points, jacobi_data,
                                milnor_number, socle_degree)
 from lghomology.linalg import PrimeField
+from lghomology.poly import PolyRing, parse_polynomial
 
 
 def test_fermat_quartic_milnor_and_middle_dims():
@@ -18,6 +19,17 @@ def test_fermat_quartic_milnor_and_middle_dims():
     assert data.dims[0] == 1
     assert data.dims[4] == 19
     assert data.dims[8] == 1
+
+
+def test_lg_model_is_a_value_type():
+    a, b = make_model("x^3+y^3", "xy"), make_model("x^3+y^3", "xy")
+    assert a == b and hash(a) == hash(b)
+    assert a != make_model("x^3+y^4", "xy")
+    other = PolyRing(("x", "y"), (1, 2))
+    with pytest.raises(ValueError):
+        LGModel(a.ring, parse_polynomial("x^3+y^3", other))
+    with pytest.raises(ValueError):
+        LGModel(a.ring, parse_polynomial("5", a.ring))
 
 
 def test_univariate_powers():

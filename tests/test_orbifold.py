@@ -39,6 +39,15 @@ def test_group_action_basics():
     assert action.monomial_character((1, 1, 1, 0)) == (3,)
 
 
+def test_group_action_is_a_value_type():
+    a = GroupAction.cyclic(4, (1, 1, 5, 1))
+    b = GroupAction((4,), ((1,), (1,), (1,), (1,)))
+    assert a == b and hash(a) == hash(b)
+    assert a != GroupAction.cyclic(4, (1, 1, 1, 3))
+    with pytest.raises(ValueError):
+        GroupAction((4, 2), ((1,), (1,)))
+
+
 def test_fixed_locus():
     _, action = quartic_setup()
     assert fixed_locus(action, (0,)) == (0, 1, 2, 3)

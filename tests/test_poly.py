@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from lghomology.errors import NotZeroDimensional, ParseError, UnknownVariable
 from lghomology.jacobi import LGModel, expected_weighted_milnor
 from lghomology.linalg import PrimeField, QQ
-from lghomology.poly import (MAX_POWER_DEGREE, PolyRing, Polynomial,
+from lghomology.poly import (MAX_LITERAL_DIGITS, MAX_POWER_DEGREE,
+                             DimensionSeries, PolyRing, Polynomial,
                              buchberger, format_polynomial,
                              graded_quotient_dims, is_zero_dimensional,
                              normal_form, parse_polynomial,
@@ -46,6 +47,14 @@ def test_parse_refuses_powers_above_the_degree_limit():
                 "x^" + "9" * 5000):
         with pytest.raises(ParseError):
             parse_polynomial(src, ring)
+
+
+def test_parse_refuses_literals_above_the_digit_limit():
+    ring = PolyRing(("x",))
+    top = parse_polynomial("9" * MAX_LITERAL_DIGITS + "*x", ring)
+    assert top.leading_coeff() == 10 ** MAX_LITERAL_DIGITS - 1
+    with pytest.raises(ParseError):
+        parse_polynomial("9" * (MAX_LITERAL_DIGITS + 1) + "*x", ring)
 
 
 def test_double_star_exponent():
@@ -226,3 +235,31 @@ def test_weighted_quotient_dimension_matches_milnor_formula():
     gb = buchberger([w.diff(i) for i in range(3)], ring)
     assert len(standard_monomials(gb)) == \
         expected_weighted_milnor(LGModel(ring, w)) == 10
+
+
+# ---------------------------------------------------------------------------
+# Value types
+
+
+def test_poly_ring_is_a_value_type():
+    a = PolyRing(["x", "y"], [1, 2])
+    b = PolyRing(("x", "y"), (1, 2), field=QQ)
+    assert a == b and hash(a) == hash(b)
+    assert a.names == ("x", "y") and a.weights == (1, 2)
+    assert PolyRing(("x", "y")).weights == (1, 1)
+    assert PolyRing(("x", "y")) != a
+    assert PolyRing(("x", "y"), (1, 2), field=PrimeField(7)) != a
+    assert len({a, b, PolyRing(("x", "y"))}) == 2
+    assert parse_polynomial("x*y", a) == parse_polynomial("x*y", b)
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 2, 3), (1, 0), (2, -1)])
+def test_poly_ring_refuses_bad_weights(weights):
+    with pytest.raises(ValueError):
+        PolyRing(("x", "y"), weights)
+
+
+def test_dimension_series_do_not_share_their_default_dict():
+    a, b = DimensionSeries(), DimensionSeries()
+    a.dims[0] = 1
+    assert b.dims == {} and b.total == 0
