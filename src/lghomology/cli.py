@@ -26,8 +26,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import (LGError, NoStabilization, NonIsolated, NonIsolatedSector,
-                     ParseError)
+from .errors import (FactorizationInvalid, LGError, NoStabilization,
+                     NonIsolated, NonIsolatedSector, ParseError)
 from .hochschild import hh_bm_graded, hh_ordinary
 from .jacobi import (INFINITE, LGModel, canonical_data, canonical_module,
                      jacobi_data, socle_degree)
@@ -37,11 +37,11 @@ from .poly import PolyRing, parse_polynomial
 
 SCHEMA_VERSION = 1
 
-EXIT_PARSE = 2
-EXIT_ISOLATION = 3
-EXIT_STABILIZATION = 4
-EXIT_MF_VERIFY = 5
-EXIT_SECTOR = 6
+EXIT_PARSE = ParseError.exit_code
+EXIT_ISOLATION = NonIsolated.exit_code
+EXIT_STABILIZATION = NoStabilization.exit_code
+EXIT_MF_VERIFY = FactorizationInvalid.exit_code
+EXIT_SECTOR = NonIsolatedSector.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +277,10 @@ def cmd_jacobi(args):
     data = jacobi_data(model)
     isolated = data.milnor is not INFINITE
     if args.require_isolated and not isolated:
-        print("error: critical points are not isolated", file=sys.stderr)
-        return EXIT_ISOLATION
+        raise NonIsolated("critical points are not isolated")
     report = {
         "command": "jacobi",
-        "potential": args_potential(mf),
+        "potential": mf.potential_src,
         "isolated": isolated,
         "milnor": data.milnor if isolated else "infinite",
         "graded_dims": dict(data.dims.dims),
@@ -311,7 +310,7 @@ def cmd_hh(args):
         return {
             "command": "hh",
             "variant": "ordinary",
-            "potential": args_potential(mf),
+            "potential": mf.potential_src,
             "dims": {"even": rep.dims[0], "odd": rep.dims[1]},
             "stabilized_at": dict(rep.stabilization),
         }
@@ -331,7 +330,7 @@ def cmd_hh(args):
         return {
             "command": "hh",
             "variant": "bm",
-            "potential": args_potential(mf),
+            "potential": mf.potential_src,
             "dims_per_degree": per_degree,
             "even_total": by_parity[0],
             "odd_total": by_parity[1],
@@ -340,12 +339,11 @@ def cmd_hh(args):
     if args.variant == "compact-cohomology":
         data = jacobi_data(model)
         if data.milnor is INFINITE:
-            print("error: critical points are not isolated", file=sys.stderr)
-            return EXIT_ISOLATION
+            raise NonIsolated("critical points are not isolated")
         return {
             "command": "hh",
             "variant": "compact-cohomology",
-            "potential": args_potential(mf),
+            "potential": mf.potential_src,
             "dims_per_degree": dict(data.dims.dims),
             "parity": "even",
             "total": data.milnor,
@@ -358,12 +356,10 @@ def cmd_mf(args):
     mf = load_model_file(args.model)
     model = mf.build()
     fact = load_mf_file(args.factorization, model)
+    if args.action in ("verify", "graded-audit") and not verify_mf(fact):
+        raise FactorizationInvalid(
+            "compositions do not equal W times the identity")
     if args.action == "verify":
-        ok = verify_mf(fact)
-        if not ok:
-            print("error: compositions do not equal W times the identity",
-                  file=sys.stderr)
-            return EXIT_MF_VERIFY
         return {"command": "mf", "action": "verify", "verified": True,
                 "rank0": fact.rank0, "rank1": fact.rank1}
     if args.action == "ext":
@@ -374,14 +370,8 @@ def cmd_mf(args):
         return {"command": "mf", "action": "ext", "method": method,
                 "even": even, "odd": odd}
     if args.action == "graded-audit":
-        verified = verify_mf(fact)
-        degrees_ok = verify_graded_degrees(fact)
-        if not verified:
-            print("error: compositions do not equal W times the identity",
-                  file=sys.stderr)
-            return EXIT_MF_VERIFY
-        return {"command": "mf", "action": "graded-audit",
-                "verified": verified, "graded_degrees": degrees_ok,
+        return {"command": "mf", "action": "graded-audit", "verified": True,
+                "graded_degrees": verify_graded_degrees(fact),
                 "twists0": list(fact.twists0 or []),
                 "twists1": list(fact.twists1 or [])}
     raise ParseError("unknown mf action %r" % args.action)
@@ -403,7 +393,7 @@ def cmd_orbifold(args):
         }
     return {
         "command": "orbifold",
-        "potential": args_potential(mf),
+        "potential": mf.potential_src,
         "group_order": mf.group.order,
         "sectors": sectors,
         "combined": {k: v for k, v in sorted(rep.combined.items())},
@@ -422,14 +412,10 @@ def cmd_koszul(args):
     dims = koszul.koszul_homology_dims(model, max_grade)
     return {
         "command": "koszul",
-        "potential": args_potential(mf),
+        "potential": mf.potential_src,
         "concentrated": koszul.dims_concentrated(model, dims, max_grade),
         "homology": {str(k): dict(v) for k, v in dims.items()},
     }
-
-
-def args_potential(mf):
-    return mf.potential_src
 
 
 # ---------------------------------------------------------------------------
@@ -483,23 +469,9 @@ def main(argv=None):
     start = time.monotonic()
     try:
         result = args.func(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except NoStabilization as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_STABILIZATION
-    except NonIsolatedSector as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_SECTOR
-    except NonIsolated as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ISOLATION
     except LGError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    if isinstance(result, int):
-        return result
+        return exc.exit_code
     emit(result, args.format, time.monotonic() - start)
     return 0
 

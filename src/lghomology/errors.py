@@ -1,8 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``exit_code`` is the status ``lgh`` exits with when the error reaches it.
+"""
 
 
 class LGError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class CompositionNonzero(LGError):
@@ -10,6 +15,8 @@ class CompositionNonzero(LGError):
 
 
 class ParseError(LGError):
+    exit_code = 2
+
     def __init__(self, message, position=None):
         self.position = position
         if position is not None:
@@ -32,6 +39,8 @@ class ZeroPotentialGradient(LGError):
 class NonIsolated(LGError):
     """The critical locus is positive-dimensional."""
 
+    exit_code = 3
+
 
 class NonHomogeneous(LGError):
     pass
@@ -51,6 +60,14 @@ class InfiniteCarrier(LGError):
 
 class NoStabilization(LGError):
     """Window exhausted before the reported value settled."""
+
+    exit_code = 4
+
+
+class FactorizationInvalid(LGError):
+    """The factors do not compose to W times the identity."""
+
+    exit_code = 5
 
 
 class PositiveDegreeCarrier(LGError):
@@ -82,7 +99,7 @@ class ParityViolation(LGError):
 
 
 class NonIsolatedSector(LGError):
-    pass
+    exit_code = 6
 
 
 class BadCharacteristic(LGError):

@@ -4,8 +4,8 @@ Chains are normalized by default: slots after the zeroth are drawn from a
 complement of the unit.  The boundary splits as a tensor-degree-lowering
 part (multiplications, with the wrap-around term) and a raising part
 (insertions of the curvature element).  Homology is computed on finite
-windows of the associated bicomplex and accepted only after the reported
-dimensions stop changing as the window grows.
+windows of the associated bicomplex and accepted once two consecutive
+windows agree, a heuristic applied by ``linalg.settle``.
 
 Every chain boundary matrix -- finite algebras, pure-curvature spaces,
 cross products and the graded polynomial ring -- is built by the bar-complex
@@ -19,10 +19,11 @@ determine parities).  Cochain matrices are built by ``CochainWindow``.
 
 from __future__ import annotations
 
-from .errors import (BadFunctional, InfiniteCarrier, NoStabilization,
-                     PositiveDegreeCarrier, WindowTooSmall)
+from .errors import (BadFunctional, InfiniteCarrier, PositiveDegreeCarrier,
+                     WindowTooSmall)
 # ``rank`` is unused here but kept: lghbench/tracer.py rebinds hochschild.rank
-from .linalg import Matrix, QQ, homology_dim, rank  # noqa: F401
+from .linalg import (Matrix, QQ, add_to, homology_dim, rank,  # noqa: F401
+                     settle)
 from .poly import mono_mul
 
 # ---------------------------------------------------------------------------
@@ -42,13 +43,7 @@ def _put(out, col, head, values, tail, interior, index, unit):
             if interior and idx == unit:
                 continue
             raise KeyError(t)
-        key = (row, col)
-        cur = out.get(key)
-        s = c if cur is None else cur + c
-        if s:
-            out[key] = s
-        elif cur is not None:
-            del out[key]
+        add_to(out, (row, col), c)
 
 
 def _signed(values, odd):
@@ -161,12 +156,7 @@ class FiniteCurvedAlgebra:
         for i, a in u.items():
             for j, b in v.items():
                 for k, c in self.product(i, j).items():
-                    cur = out.get(k)
-                    s = a * b * c if cur is None else cur + a * b * c
-                    if s:
-                        out[k] = s
-                    elif cur is not None:
-                        del out[k]
+                    add_to(out, k, a * b * c)
         return out
 
     def parity(self, i):
@@ -408,14 +398,6 @@ class CochainWindow:
         j = degs[b] - sum(degs[x] for x in t)
         return i + j - 1
 
-    def _add(self, out, key, val):
-        cur = out.get(key)
-        s = val if cur is None else cur + val
-        if s:
-            out[key] = s
-        elif cur is not None:
-            del out[key]
-
     def d_mult(self, i):
         """Multiplication part of the differential, C^i -> C^{i+1}."""
         alg = self.algebra
@@ -438,14 +420,14 @@ class CochainWindow:
                         phi_internal_par = (alg.degrees[c]
                                             - sum(alg.degrees[x] for x in t)) % 2
                     sign = one if (pars[0] * phi_internal_par) % 2 == 0 else minus_one
-                    self._add(out, (row, col), sign * coeff)
+                    add_to(out, (row, col), sign * coeff)
             # 2) interior multiplications
             for jpos in range(1, i + 1):
                 merged = alg.product(s[jpos - 1], s[jpos])
                 sign = one if jpos % 2 == 0 else minus_one
                 for mid, coeff in merged.items():
                     t = s[:jpos - 1] + (mid,) + s[jpos + 1:]
-                    self._add(out, (row, src_index[(t, b)]), sign * coeff)
+                    add_to(out, (row, src_index[(t, b)]), sign * coeff)
             # 3) phi(a_1..a_i) * a_{i+1}
             t = s[:i]
             sign = one if (i + 1) % 2 == 0 else minus_one
@@ -454,7 +436,7 @@ class CochainWindow:
                 coeff = prod.get(b)
                 if coeff:
                     col = src_index[(t, c)]
-                    self._add(out, (row, col), sign * coeff)
+                    add_to(out, (row, col), sign * coeff)
         return Matrix(self.dim(i + 1), self.dim(i), field, out)
 
     def d_curv(self, i):
@@ -469,7 +451,7 @@ class CochainWindow:
                 sign = one if j % 2 == 0 else minus_one
                 for idx, c in alg.curvature.items():
                     col = src_index[(s[:j] + (idx,) + s[j:], b)]
-                    self._add(out, (row, col), sign * c)
+                    add_to(out, (row, col), sign * c)
         return Matrix(self.dim(i - 1), self.dim(i), field, out)
 
 
@@ -522,7 +504,7 @@ def hh_ordinary(algebra, max_tensor=10):
 
     The window at cap M holds all tensor degrees of one parity up to M;
     enlarging M by two adds one column.  A value is accepted once two
-    consecutive caps agree.
+    consecutive caps agree (``settle``).
     """
     if not algebra.curvature:
         raise ValueError("curvature element is zero; use a flat computation")
@@ -553,20 +535,11 @@ def hh_ordinary(algebra, max_tensor=10):
     dims = {}
     stab = {}
     for parity in (0, 1):
-        prev = None
-        settled = None
-        for cap in range(parity, max_tensor, 2):
-            val = spot_value(parity, cap)
-            if prev is not None and val == prev:
-                settled = val
-                stab[parity] = cap
-                break
-            prev = val
-        if settled is None:
-            raise NoStabilization(
-                "parity %d did not settle within tensor window %d"
-                % (parity, max_tensor))
-        dims[parity] = settled
+        caps = ((cap, spot_value(parity, cap))
+                for cap in range(parity, max_tensor, 2))
+        dims[parity], stab[parity] = settle(
+            caps, "parity %d did not settle within tensor window %d"
+            % (parity, max_tensor))
     return HomologyReport("ordinary", dims, stab)
 
 
@@ -666,7 +639,8 @@ def hh_bm_graded(model, internal_degrees, max_r=5):
 
     For each requested degree the value is read off the tower of
     first-quadrant windows; it is accepted when two consecutive shifts
-    agree.  The complementary parity is checked to stabilize to zero.
+    agree (``settle``).  The complementary parity is checked to stabilize
+    to zero.
     """
     model.require_homogeneous()
     n0 = model.ring.nvars
@@ -678,21 +652,12 @@ def hh_bm_graded(model, internal_degrees, max_r=5):
     ranks = {}
     for e in internal_degrees:
         for parity_offset in (0, 1):
-            prev = None
-            settled = None
-            for r in range(max_r + 1):
-                n = n0 + parity_offset + 2 * r
-                q = e + r * d
-                val = bm_spot_homology(model, n, q, ranks)
-                if prev is not None and val == prev:
-                    settled = val
-                    stab[(e, parity_offset)] = r
-                    break
-                prev = val
-            if settled is None:
-                raise NoStabilization(
-                    "degree %d (parity offset %d) did not settle in %d shifts"
-                    % (e, parity_offset, max_r))
+            shifts = ((r, bm_spot_homology(model, n0 + parity_offset + 2 * r,
+                                           e + r * d, ranks))
+                      for r in range(max_r + 1))
+            settled, stab[(e, parity_offset)] = settle(
+                shifts, "degree %d (parity offset %d) did not settle in %d "
+                "shifts" % (e, parity_offset, max_r))
             parity = (n0 + parity_offset) % 2
             key = (e, parity)
             dims[key] = dims.get(key, 0) + settled

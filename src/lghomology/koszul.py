@@ -15,7 +15,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import CharacteristicTooSmall
-from .linalg import Matrix, homology_dim, rank
+from .linalg import Matrix, add_to, homology_dim, rank
 from .poly import mono_mul
 
 # ---------------------------------------------------------------------------
@@ -85,14 +85,7 @@ def wedge_dW(model, k, grade):
             sign = field.one if pos % 2 == 0 else field.from_int(-1)
             new_idx = tuple(sorted(idx + (i,)))
             row = index[(mono_mul(m, wm), new_idx)]
-            key = (row, col)
-            val = sign * wc
-            cur = out.get(key)
-            s = val if cur is None else cur + val
-            if s:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
+            add_to(out, (row, col), sign * wc)
     return Matrix(len(dst), len(src), field, out)
 
 
@@ -115,14 +108,7 @@ def contract_dW(model, k, grade):
             new_idx = idx[:pos] + idx[pos + 1:]
             for wm, wc in partials[i].items():
                 row = index[(mono_mul(m, wm), new_idx)]
-                key = (row, col)
-                val = sign * wc
-                cur = out.get(key)
-                s = val if cur is None else cur + val
-                if s:
-                    out[key] = s
-                elif cur is not None:
-                    del out[key]
+                add_to(out, (row, col), sign * wc)
     return Matrix(len(dst), len(src), field, out)
 
 
@@ -220,15 +206,7 @@ def hkr_split(model, k, grade):
             idx = tuple(sorted(chosen))
             row = index[(mono, idx)]
             val = coeff * inv_fact
-            if sign < 0:
-                val = -val
-            key = (row, col)
-            cur = out.get(key)
-            s = val if cur is None else cur + val
-            if s:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
+            add_to(out, (row, col), -val if sign < 0 else val)
     return Matrix(len(dst), len(src), field, out)
 
 

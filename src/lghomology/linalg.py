@@ -13,7 +13,44 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CompositionNonzero, ShapeMismatch
+from .errors import CompositionNonzero, NoStabilization, ShapeMismatch
+
+
+def add_to(acc, key, val):
+    """Sparse accumulation: ``acc[key] += val``, deleting a key whose sum is
+    zero, so that ``acc`` never stores a zero.
+
+    Every sparse matrix, vector and polynomial builder accumulates through
+    this.  Only the elimination loops and ``poly._reduce_once``, which also
+    keep a pivot index or a heap of terms, and ``_composes_to_zero`` write
+    the idiom out.
+    """
+    cur = acc.get(key)
+    s = val if cur is None else cur + val
+    if s:
+        acc[key] = s
+    elif cur is not None:
+        del acc[key]
+
+
+def settle(values, message):
+    """The first value equal to its predecessor, as (value, position).
+
+    ``values`` is a lazy iterable of (position, value) pairs, one per window
+    size, smallest first; nothing after the agreeing pair is computed.
+    Raises ``NoStabilization(message)`` if the values run out first.
+
+    Accepting a value because two consecutive windows agree is a heuristic,
+    not a proof: a class that first appears in a larger window is missed.
+    Every windowed computation (``hh_ordinary``, ``hh_bm_graded`` and the
+    ``truncate`` Ext method) stabilizes through this one rule.
+    """
+    prev = object()     # equal to no value
+    for pos, val in values:
+        if val == prev:
+            return val, pos
+        prev = val
+    raise NoStabilization(message)
 
 
 class Field:
@@ -345,13 +382,6 @@ class Matrix:
     def identity(cls, n, field):
         return cls(n, n, field, {(i, i): field.one for i in range(n)})
 
-    @classmethod
-    def zero(cls, rows, cols, field):
-        return cls(rows, cols, field)
-
-    def get(self, i, j):
-        return self.entries.get((i, j), self.field.zero)
-
     def is_zero(self):
         return not self.entries
 
@@ -368,12 +398,7 @@ class Matrix:
             raise ShapeMismatch("cannot add %s and %s" % (self.shape, other.shape))
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            w = ent.get(k)
-            s = v if w is None else w + v
-            if s:
-                ent[k] = s
-            elif w is not None:
-                del ent[k]
+            add_to(ent, k, v)
         return Matrix(self.rows, self.cols, self.field, ent)
 
     def __sub__(self, other):
@@ -397,13 +422,7 @@ class Matrix:
         ent = {}
         for (i, k), v in self.entries.items():
             for (j, w) in by_row.get(k, ()):
-                key = (i, j)
-                cur = ent.get(key)
-                s = v * w if cur is None else cur + v * w
-                if s:
-                    ent[key] = s
-                elif cur is not None:
-                    del ent[key]
+                add_to(ent, (i, j), v * w)
         return Matrix(self.rows, other.cols, self.field, ent)
 
     def apply(self, vec):
@@ -411,23 +430,13 @@ class Matrix:
         out = {}
         for (i, j), v in self.entries.items():
             c = vec.get(j)
-            if c is None:
-                continue
-            cur = out.get(i)
-            s = v * c if cur is None else cur + v * c
-            if s:
-                out[i] = s
-            elif cur is not None:
-                del out[i]
+            if c is not None:
+                add_to(out, i, v * c)
         return out
 
     @property
     def shape(self):
         return (self.rows, self.cols)
-
-    def transpose(self):
-        return Matrix(self.cols, self.rows, self.field,
-                      {(j, i): v for (i, j), v in self.entries.items()})
 
     def __repr__(self):
         return "Matrix(%dx%d over %r, %d nonzero)" % (

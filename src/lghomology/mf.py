@@ -4,7 +4,8 @@ A factorization is a pair of polynomial matrices composing to W times the
 identity on both sides.  Morphism spaces carry the two-periodic commutator
 differential; their cohomology is computed either exactly over univariate
 rings (diagonalization over the principal-ideal ring) or by quotienting by
-powers of the maximal ideal with stabilization detection.
+powers of the maximal ideal until two consecutive degree caps agree, the
+heuristic of ``linalg.settle``.
 
 The graded variant constrains entries to twist-adjusted degrees 0 and d;
 such objects also arise from twisted complexes over the cyclic-orbifold
@@ -17,9 +18,9 @@ from __future__ import annotations
 import math
 
 from .errors import (DegreeConstraintViolated, MethodUnsupported,
-                     ModelMismatch, NoStabilization, ParityViolation,
-                     ShapeMismatch)
-from .linalg import Matrix, homology_dim, rank
+                     ModelMismatch, ParityViolation, ShapeMismatch)
+# ``homology_dim`` is unused here but kept: lghbench pins mf.homology_dim
+from .linalg import Matrix, add_to, homology_dim, rank, settle  # noqa: F401
 from .poly import Polynomial, mono_mul
 
 INFINITE = math.inf
@@ -450,15 +451,8 @@ def _degree_window_matrix(pm, cap, min_row_degree=None):
                 if min_row_degree is not None and \
                         ring.weighted_degree(prod) <= min_row_degree:
                     continue
-                key_r = (i, prod)
-                row = row_pos.setdefault(key_r, len(row_pos))
-                key = (row, col)
-                cur = ent.get(key)
-                s = c if cur is None else cur + c
-                if s:
-                    ent[key] = s
-                elif cur is not None:
-                    del ent[key]
+                row = row_pos.setdefault((i, prod), len(row_pos))
+                add_to(ent, (row, col), c)
     return Matrix(len(row_pos), len(src), field, ent)
 
 
@@ -489,17 +483,11 @@ def ext_dims(src, dst, method="smith", bound=12):
     if method == "truncate":
         src.model.require_homogeneous()
         ring = src.model.ring
-        prev = None
-        for cap in range(2, bound + 1):
-            # A cap with no monomial of its own degree repeats the window
-            # below it, so agreeing with it would prove nothing.
-            if not ring.monomials_of_degree(cap):
-                continue
-            val = _filtered_dims(hom, cap)
-            if prev is not None and val == prev:
-                return val
-            prev = val
-        raise NoStabilization("ext dims did not settle below cap %d" % bound)
+        # A cap with no monomial of its own degree repeats the window below
+        # it, so agreeing with it would prove nothing.
+        caps = ((cap, _filtered_dims(hom, cap)) for cap in range(2, bound + 1)
+                if ring.monomials_of_degree(cap))
+        return settle(caps, "ext dims did not settle below cap %d" % bound)[0]
     raise MethodUnsupported("unknown method %r" % method)
 
 

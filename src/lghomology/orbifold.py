@@ -21,7 +21,7 @@ from itertools import product as iter_product
 from .errors import (BadCharacteristic, NonIsolatedSector, NotInvariant,
                      WindowTooSmall)
 from .jacobi import LGModel, jacobi_ideal, socle_degree
-from .linalg import CyclotomicField, Matrix, QQ
+from .linalg import CyclotomicField, Matrix, QQ, add_to
 from .poly import (PolyRing, Polynomial, is_zero_dimensional,
                    standard_monomials)
 
@@ -128,9 +128,8 @@ def restrict_potential(model, fixed_vars):
     for mono, c in model.potential.terms.items():
         if any(e and v not in keep for v, e in enumerate(mono)):
             continue
-        sub_mono = tuple(mono[v] for v in fixed_vars)
-        terms[sub_mono] = terms.get(sub_mono, ring.field.zero) + c
-    poly = Polynomial(sub_ring, {m: c for m, c in terms.items() if c})
+        add_to(terms, tuple(mono[v] for v in fixed_vars), c)
+    poly = Polynomial(sub_ring, terms)
     if not poly:
         return sub_ring, None
     if poly.degree() < 1:
@@ -321,7 +320,7 @@ class CrossProduct:
         mult = {}
         for i, (a, g) in enumerate(self.elements):
             for j, (b, h) in enumerate(self.elements):
-                scalar = self._phase_scalar(g, b)
+                scalar = self.monomial_phase_scalar(g, b)
                 prod = tuple(x + y for x, y in zip(a, b))
                 if any(e >= p for e, p in zip(prod, self.powers)):
                     continue
@@ -336,7 +335,7 @@ class CrossProduct:
         self.algebra = FiniteCurvedAlgebra(labels, mult, curvature, unit=unit,
                                            field=field, check=True)
 
-    def _phase_scalar(self, g, mono):
+    def monomial_phase_scalar(self, g, mono):
         """Scalar by which g acts on the base monomial."""
         char = self.action.monomial_character(mono)
         ph = self.action.phase(g, char)
@@ -346,9 +345,6 @@ class CrossProduct:
         if power.denominator != 1:
             raise ValueError("phase incompatible with the root order")
         return self.field.zeta(int(power))
-
-    def monomial_phase_scalar(self, g, mono):
-        return self._phase_scalar(g, mono)
 
     def fixed_vars(self, g):
         return tuple(v for v in range(len(self.powers))
@@ -490,11 +486,9 @@ def _coinvariant_projector(cp, layout, offsets, totals, k):
                 scalar = field.one
                 for slot in t:
                     scalar = scalar * cp.monomial_phase_scalar(h, keep[slot])
-                key = (off + col, off + col)
                 # diagonal action fixes the tensor shape, only scales it
-                cur = ent.get(key, field.zero)
-                ent[key] = cur + scalar * inv_order
-    return Matrix(n, n, field, {k2: v for k2, v in ent.items() if v})
+                add_to(ent, (off + col, off + col), scalar * inv_order)
+    return Matrix(n, n, field, ent)
 
 
 def psi_chain_check(cp, max_tensor):

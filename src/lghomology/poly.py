@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import NotZeroDimensional, ParseError, UnknownVariable
-from .linalg import QQ
+from .linalg import QQ, add_to
 
 # Largest weighted degree a power ``base^e`` may have in parsed input
 # (e times the degree of the base, a constant counting as degree 1).
@@ -159,12 +159,7 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            cur = terms.get(m)
-            s = c if cur is None else cur + c
-            if s:
-                terms[m] = s
-            elif cur is not None:
-                del terms[m]
+            add_to(terms, m, c)
         return Polynomial(self.ring, terms)
 
     def __sub__(self, other):
@@ -179,13 +174,7 @@ class Polynomial:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                cur = terms.get(m)
-                s = c1 * c2 if cur is None else cur + c1 * c2
-                if s:
-                    terms[m] = s
-                elif cur is not None:
-                    del terms[m]
+                add_to(terms, mono_mul(m1, m2), c1 * c2)
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -235,9 +224,6 @@ class Polynomial:
         if not self.terms:
             return self
         return self.scale(self.ring.field.one / self.leading_coeff())
-
-    def constant_term(self):
-        return self.terms.get(self.ring.zero_mono(), self.ring.field.zero)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: self.ring.order_key(mc[0]),
@@ -587,9 +573,6 @@ class DimensionSeries:
             other = other.dims
         return {d: c for d, c in self.dims.items() if c} == \
                {d: c for d, c in other.items() if c}
-
-    def sorted_items(self):
-        return sorted(self.dims.items())
 
 
 def graded_quotient_dims(gb):

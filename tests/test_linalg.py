@@ -1,13 +1,17 @@
 """Exact sparse linear algebra over the supported fields."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lghomology.errors import CompositionNonzero
+import lghomology
+from lghomology.errors import CompositionNonzero, NoStabilization
 from lghomology.linalg import (CyclotomicField, Matrix, PrimeField, QQ,
-                               homology_dim, kernel_basis, rank)
+                               add_to, homology_dim, kernel_basis, rank,
+                               settle)
 
 
 def test_rank_simple():
@@ -269,3 +273,82 @@ def test_homology_dim_reuses_memoized_ranks(monkeypatch):
     with pytest.raises(CompositionNonzero):
         homology_dim(Matrix.from_rows([[1], [1]], QQ), d_out, ranks,
                      ("in", "out"))
+
+
+# ---------------------------------------------------------------------------
+# The sparse accumulator and the stabilization rule
+
+
+FIELDS = [QQ, PrimeField(7), CyclotomicField(3)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_add_to_removes_a_cancelled_key(field):
+    c = (field.zeta(1) if isinstance(field, CyclotomicField)
+         else field.from_int(3))
+    acc = {}
+    add_to(acc, "k", c)
+    add_to(acc, "j", c)
+    assert acc == {"k": c, "j": c}
+    add_to(acc, "k", field.from_int(-1) * c)
+    assert acc == {"j": c}
+    add_to(acc, "k", field.zero)
+    add_to(acc, "j", c)
+    assert acc == {"j": c + c}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)),
+                      max_size=20))
+def test_add_to_never_stores_zero(field, steps):
+    acc, naive = {}, {}
+    for key, n in steps:
+        add_to(acc, key, field.from_int(n))
+        naive[key] = naive.get(key, 0) + n
+    assert all(acc.values())
+    assert acc == {k: field.from_int(n) for k, n in naive.items() if n}
+
+
+def test_add_to_is_the_only_accumulator_in_the_package():
+    """The get/add/delete idiom is written out in ``add_to`` only."""
+    pkg = Path(lghomology.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        source = path.read_text()
+        owners = {}
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                for line in range(node.lineno, node.end_lineno + 1):
+                    owners[line] = node.name      # innermost def wins
+        for n, line in enumerate(source.splitlines(), 1):
+            if "elif cur is not None:" in line:
+                found.append((path.name, owners.get(n)))
+    assert found == [("linalg.py", "add_to")]
+
+
+def test_settle_returns_the_first_agreement_and_its_position():
+    values = [(2, 5), (4, 1), (6, 1), (8, 1)]
+    assert settle(iter(values), "unused") == (1, 6)
+    assert settle(iter([(0, (1, 0)), (1, (1, 0))]), "unused") == ((1, 0), 1)
+
+
+def test_settle_computes_nothing_after_the_agreement():
+    def windows():
+        yield 0, 3
+        yield 1, 2
+        yield 2, 2
+        raise AssertionError("a window after the agreement was computed")
+
+    assert settle(windows(), "unused") == (2, 2)
+
+
+@pytest.mark.parametrize("values", [[], [(0, 1)], [(0, 1), (1, 2), (2, 1)]])
+def test_settle_raises_when_the_values_run_out(values):
+    with pytest.raises(NoStabilization, match="^did not settle in 3$"):
+        settle(iter(values), "did not settle in 3")
+
+
+def test_settle_is_a_heuristic_that_misses_a_late_class():
+    # Two agreeing windows are accepted even when a later window differs.
+    assert settle(iter([(1, 0), (2, 0), (3, 1), (4, 1)]), "unused") == (0, 2)
