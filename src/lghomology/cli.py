@@ -219,6 +219,12 @@ def load_mf_file(path, model):
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
     data = parse_mf_file(text, model.ring)
+    # one twist per summand: E0 is the source of P0, E1 its target
+    for key, need in (("twists0", data["P0"].ncols),
+                      ("twists1", data["P0"].nrows)):
+        if key in data and len(data[key]) != need:
+            raise ParseError("%s needs %d entries, one per summand, not %d"
+                             % (key, need, len(data[key])))
     return MatrixFactorization(model, data["P0"], data["P1"],
                                twists0=data.get("twists0"),
                                twists1=data.get("twists1"))

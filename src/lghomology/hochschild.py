@@ -15,6 +15,11 @@ wrap-around term additionally carries the Koszul sign of moving the last
 element past the others, and a curvature insertion the Koszul sign of
 moving W past the slots it jumps (cohomological degrees, when present,
 determine parities).  Cochain matrices are built by ``CochainWindow``.
+
+Every total complex -- the direct-sum one of ordinary HH, the
+first-quadrant one of Borel-Moore HH, and the sum over orbifold sectors --
+is assembled from its blocks by ``_total``, which takes the differential as
+one rule giving the component between two spaces.
 """
 
 from __future__ import annotations
@@ -477,25 +482,27 @@ class HomologyReport:
         self.stabilization = {} if stabilization is None else stabilization
 
 
-def _assemble_block(src_ks, dst_ks, src_dims, dst_dims, blocks, field):
-    """Assemble a block matrix from per-(src_k, dst_k) component matrices."""
-    row_off, off = {}, 0
-    for k in dst_ks:
-        row_off[k] = off
-        off += dst_dims[k]
-    nrows = off
-    col_off, off = {}, 0
-    for k in src_ks:
-        col_off[k] = off
-        off += src_dims[k]
-    ncols = off
-    ent = {}
-    for (sk, dk), mat in blocks.items():
-        if sk not in col_off or dk not in row_off:
-            continue
-        ro, co = row_off[dk], col_off[sk]
-        for (i, j), v in mat.entries.items():
-            ent[(ro + i, co + j)] = v
+def _total(src, dst, dims, block, field):
+    """Matrix of a total differential, from the direct sum of the ``src``
+    spaces to the direct sum of the ``dst`` spaces, each in the order given.
+
+    ``dims[s]`` is the dimension of space s and ``block(s, t)`` returns the
+    component s -> t, or None where there is none; it is called only for t
+    in ``dst``.
+    """
+    row_off, nrows = {}, 0
+    for t in dst:
+        row_off[t] = nrows
+        nrows += dims[t]
+    ent, ncols = {}, 0
+    for s in src:
+        for t in dst:
+            mat = block(s, t)
+            if mat is not None:
+                ro = row_off[t]
+                for (i, j), v in mat.entries.items():
+                    ent[(ro + i, ncols + j)] = v
+        ncols += dims[s]
     return Matrix(nrows, ncols, field, ent)
 
 
@@ -513,24 +520,20 @@ def hh_ordinary(algebra, max_tensor=10):
     dims_of = {k: win.dim(k) for k in range(max_tensor + 2)}
     field = algebra.field
 
+    def block(k, t):
+        if t == k - 1:
+            return bm[k]
+        if t == k + 1:
+            return bp[k]
+        return None
+
     def spot_value(parity, cap):
-        # chains: degrees = parity mod 2, k <= cap
-        mid = [k for k in range(parity % 2, cap + 1, 2)]
-        src = [k for k in range(1 - parity % 2, cap, 2)]      # cap M-1
-        dst = [k for k in range(1 - parity % 2, cap + 2, 2)]  # cap M+1
-        blocks_in = {}
-        for k in src:
-            if k >= 1:
-                blocks_in[(k, k - 1)] = bm[k]
-            blocks_in[(k, k + 1)] = bp[k]
-        blocks_out = {}
-        for k in mid:
-            if k >= 1:
-                blocks_out[(k, k - 1)] = bm[k]
-            blocks_out[(k, k + 1)] = bp[k]
-        d_in = _assemble_block(src, mid, dims_of, dims_of, blocks_in, field)
-        d_out = _assemble_block(mid, dst, dims_of, dims_of, blocks_out, field)
-        return homology_dim(d_in, d_out)
+        # chains: tensor degrees of this parity up to cap
+        mid = range(parity, cap + 1, 2)
+        src = range(1 - parity, cap, 2)      # cap M-1
+        dst = range(1 - parity, cap + 2, 2)  # cap M+1
+        return homology_dim(_total(src, mid, dims_of, block, field),
+                            _total(mid, dst, dims_of, block, field))
 
     dims = {}
     stab = {}
@@ -607,20 +610,19 @@ def _bm_spot_spaces(model, n, q):
 def _bm_differential(model, n, q):
     """Assembled differential tot_n -> tot_{n-1} at fixed charge q."""
     ring = model.ring
-    field = ring.field
-    src_blocks = _bm_spot_spaces(model, n, q)
-    dst_blocks = _bm_spot_spaces(model, n - 1, q)
-    src_dims = {b: len(poly_chain_basis(ring, b[1], b[2])) for b in src_blocks}
-    dst_dims = {b: len(poly_chain_basis(ring, b[1], b[2])) for b in dst_blocks}
-    blocks = {}
-    for (i, k, D) in src_blocks:
-        if k >= 1 and (i, k - 1, D) in dst_dims:
-            blocks[((i, k, D), (i, k - 1, D))] = poly_boundary_minus(ring, k, D)
-        if i >= 1 and (i - 1, k + 1, D + model.degree) in dst_dims:
-            blocks[((i, k, D), (i - 1, k + 1, D + model.degree))] = \
-                poly_boundary_plus(model, k, D)
-    return _assemble_block(src_blocks, dst_blocks, src_dims, dst_dims, blocks,
-                           field)
+    src = _bm_spot_spaces(model, n, q)
+    dst = _bm_spot_spaces(model, n - 1, q)
+    dims = {b: len(poly_chain_basis(ring, b[1], b[2])) for b in src + dst}
+
+    def block(s, t):
+        i, k, D = s
+        if t == (i, k - 1, D):
+            return poly_boundary_minus(ring, k, D)
+        if t == (i - 1, k + 1, D + model.degree):
+            return poly_boundary_plus(model, k, D)
+        return None
+
+    return _total(src, dst, dims, block, ring.field)
 
 
 def bm_spot_homology(model, n, q, ranks=None):
@@ -668,7 +670,7 @@ def hh_bm_graded(model, internal_degrees, max_r=5):
 # Compact type
 
 
-def compact_type_check(algebra, max_internal=4, tensor_cap=None):
+def compact_type_check(algebra, max_internal=4):
     """Check the degree bound and that windowed HH and HH_c dims agree.
 
     The carrier must be finite dimensional, Z-graded in non-positive
@@ -681,9 +683,9 @@ def compact_type_check(algebra, max_internal=4, tensor_cap=None):
         raise PositiveDegreeCarrier("carrier has positive-degree elements")
     min_deg = min(algebra.degrees)
     # The tensor degree of any cochain component of internal degree m is
-    # bounded by m + 1 - min_deg; size the window accordingly.
-    needed = max_internal + 2 - min_deg * 1
-    cap = tensor_cap if tensor_cap is not None else needed + 1
+    # bounded by m + 1 - min_deg; the window reaches one past the bound at
+    # m = max_internal + 1.
+    cap = max_internal + 3 - min_deg
     win = CochainWindow(algebra, cap + 1)
     d_mult = {i: win.d_mult(i) for i in range(cap + 1)}
     d_curv = {i: win.d_curv(i) for i in range(1, cap + 2)}
@@ -726,57 +728,3 @@ def compact_type_check(algebra, max_internal=4, tensor_cap=None):
         if full != capped:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Bicomplex windows (finite backend)
-
-
-class BicomplexWindow:
-    """Rectangle of the chain bicomplex with its two differentials."""
-
-    def __init__(self, algebra, imin, imax, jmin, jmax, horizontal, vertical,
-                 chain_dims):
-        self.algebra = algebra
-        self.imin, self.imax = imin, imax
-        self.jmin, self.jmax = jmin, jmax
-        self.horizontal = horizontal  # (i, j) -> raising part, to (i-1, j)
-        self.vertical = vertical      # (i, j) -> lowering part, to (i, j-1)
-        self.chain_dims = chain_dims  # (i, j) -> dimension of C_{j-i}
-
-    @classmethod
-    def build(cls, algebra, imin, imax, jmin, jmax):
-        max_k = jmax - imin
-        win = ChainWindow(algebra, max(max_k, 1))
-        bm, bp = win.all_boundaries()
-        horizontal, vertical, dims = {}, {}, {}
-        for i in range(imin, imax + 1):
-            for j in range(jmin, jmax + 1):
-                k = j - i
-                if k < 0:
-                    continue
-                dims[(i, j)] = win.dim(k)
-                if k + 1 <= win.max_tensor:
-                    horizontal[(i, j)] = bp[k]
-                if k >= 1:
-                    vertical[(i, j)] = bm[k]
-        return cls(algebra, imin, imax, jmin, jmax, horizontal, vertical, dims)
-
-    def check_squares(self):
-        """Exact identities on the window interior."""
-        for (i, j), h in self.horizontal.items():
-            h2 = self.horizontal.get((i - 1, j))
-            if h2 is not None and not (h2 @ h).is_zero():
-                return False
-            v = self.vertical.get((i - 1, j))
-            v2 = self.vertical.get((i, j))
-            if v2 is not None:
-                hv = self.horizontal.get((i, j - 1))
-                if hv is not None and v is not None:
-                    if not (v @ h + hv @ v2).is_zero():
-                        return False
-        for (i, j), v in self.vertical.items():
-            v2 = self.vertical.get((i, j - 1))
-            if v2 is not None and not (v2 @ v).is_zero():
-                return False
-        return True

@@ -2,14 +2,13 @@
 
 Scalars live in an exact field: the rationals, a prime field, or a
 cyclotomic extension of the rationals.  Matrices are stored sparsely and
-all rank/kernel computations use exact Gaussian elimination with
+all rank computations use exact Gaussian elimination with
 deterministic pivoting: over Q on integer rows, fraction-free; over GF(p)
 on int residues; over Q(zeta) on field elements.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -171,20 +170,8 @@ def _cyclotomic_coeffs(d):
     for e in range(1, d):
         if d % e:
             continue
-        div = _cyclotomic_coeffs(e)
-        poly = _polydiv_exact(poly, div)
+        poly = _polydivmod(poly, _cyclotomic_coeffs(e))[0]
     return poly
-
-
-def _polydiv_exact(num, den):
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
-        for j, dj in enumerate(den):
-            num[i + j] -= c * dj
-    return out
 
 
 class CycElement:
@@ -425,15 +412,6 @@ class Matrix:
                 add_to(ent, (i, j), v * w)
         return Matrix(self.rows, other.cols, self.field, ent)
 
-    def apply(self, vec):
-        """Multiply by a sparse vector given as index -> scalar."""
-        out = {}
-        for (i, j), v in self.entries.items():
-            c = vec.get(j)
-            if c is not None:
-                add_to(out, i, v * c)
-        return out
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -502,9 +480,6 @@ class _IntegerRows:
                 for j in row:
                     row[j] //= g
 
-    def quotient(self, v, a):
-        return Fraction(v, a)
-
 
 class _ResidueRows:
     """GF(p): rows of int residues, reduced mod p after every update."""
@@ -544,9 +519,6 @@ class _ResidueRows:
                     del row[j]
                     index[j].discard(rid)
 
-    def quotient(self, v, a):
-        return FpElement(v * pow(a, -1, self.p), self.p)
-
 
 class _ElementRows:
     """Any other field, Q(zeta) here: rows of field elements."""
@@ -583,9 +555,6 @@ class _ElementRows:
                     del row[j]
                     index[j].discard(rid)
 
-    def quotient(self, v, a):
-        return v / a
-
 
 def _row_kind(field):
     if isinstance(field, RationalField):
@@ -595,14 +564,12 @@ def _row_kind(field):
     return _ElementRows(field)
 
 
-def _eliminate(rows, kind, keep_pivots=False):
-    """Gaussian elimination of ``rows`` (consumed); returns (rank, pivots).
+def _eliminate(rows, kind):
+    """Rank of ``rows`` (consumed) by Gaussian elimination.
 
     Pivot choice is deterministic: smallest column first, then the sparsest
     candidate row, then the smallest row index.  Candidates come from a
     column -> row indices map kept up to date on fill-in and cancellation.
-    ``pivots`` is the list of (column, pivot row) when ``keep_pivots`` is
-    set, else None.
     """
     index = {}
     for rid, row in rows.items():
@@ -614,7 +581,6 @@ def _eliminate(rows, kind, keep_pivots=False):
                 cand.add(rid)
     # Fill-in only lands in columns of a pivot row, which are already keys.
     rank = 0
-    pivots = [] if keep_pivots else None
     for col in sorted(index):
         cand = index.pop(col)
         if not cand:
@@ -633,9 +599,7 @@ def _eliminate(rows, kind, keep_pivots=False):
             if not row:
                 del rows[rid]
         rank += 1
-        if keep_pivots:
-            pivots.append((col, piv))
-    return rank, pivots
+    return rank
 
 
 def _composes_to_zero(rows_out, rows_in, p):
@@ -664,35 +628,7 @@ def rank(m, rows=None):
     kind = _row_kind(m.field)
     if rows is None:
         rows = kind.rows(m)
-    return _eliminate(rows, kind)[0]
-
-
-def kernel_basis(m):
-    """Basis of ker(m) as a list of sparse vectors (index -> scalar), read
-    off the reduced echelon form: one vector per free column."""
-    kind = _row_kind(m.field)
-    _, pivots = _eliminate(kind.rows(m), kind, keep_pivots=True)
-    # Back-substitute to reduced echelon form; no candidate index is needed.
-    unused = defaultdict(set)
-    for idx in range(len(pivots) - 1, -1, -1):
-        col, row = pivots[idx]
-        rest = [(j, v) for j, v in row.items() if j != col]
-        for _, prow in pivots[:idx]:
-            if col in prow:
-                kind.reduce(prow, col, row[col], rest, None, unused)
-    pivot_cols = {c for c, _ in pivots}
-    one = m.field.one
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        vec = {free: one}
-        for c, row in pivots:
-            v = row.get(free)
-            if v is not None:
-                vec[c] = kind.quotient(-v, row[c])
-        basis.append(vec)
-    return basis
+    return _eliminate(rows, kind)
 
 
 def homology_dim(d_in, d_out, ranks=None, keys=None):

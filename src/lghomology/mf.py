@@ -284,18 +284,6 @@ def hom_complex(src, dst):
     return HomComplex(src, dst, d_even, d_odd, even_entries, odd_entries)
 
 
-def apply_differential(hom, phi_blocks, parity):
-    """Apply the commutator differential to a map given as two blocks."""
-    src, dst = hom.src, hom.dst
-    if parity == 0:
-        phi0, phi1 = phi_blocks
-        return (dst.P0 @ phi0 - phi1 @ src.P0,
-                dst.P1 @ phi1 - phi0 @ src.P1)
-    psi0, psi1 = phi_blocks
-    return (dst.P1 @ psi0 + psi1 @ src.P0,
-            dst.P0 @ psi1 + psi0 @ src.P1)
-
-
 # ---------------------------------------------------------------------------
 # Univariate diagonalization
 

@@ -264,13 +264,6 @@ def orbifold_hh_bm(model, action):
 # Cross products of truncated monomial algebras with the group
 
 
-def _cyclotomic_order(action):
-    out = 1
-    for d in action.orders:
-        out = out * d // math.gcd(out, d)
-    return out
-
-
 class CrossProduct:
     """Cross product of k[x_i]/(x_i^{p_i}) with a diagonal abelian group.
 
@@ -283,7 +276,7 @@ class CrossProduct:
         from .hochschild import FiniteCurvedAlgebra
         self.action = action
         self.powers = tuple(powers)
-        L = _cyclotomic_order(action)
+        L = math.lcm(*action.orders)
         if field is None:
             field = QQ if L == 1 else CyclotomicField(L)
         self.field = field
@@ -293,7 +286,6 @@ class CrossProduct:
         for expo in iter_product(*ranges):
             base.append(expo)
         self.base_monomials = base
-        self.base_index = {m: i for i, m in enumerate(base)}
         self.potential_terms = {}
         for m, c in potential_terms.items():
             if isinstance(c, (int, Fraction)):
@@ -312,7 +304,6 @@ class CrossProduct:
             raise NotInvariant("potential is not fixed by the action")
 
         self.group = action.elements()
-        self.g_index = {g: i for i, g in enumerate(self.group)}
         self.elements = [(m, g) for m in base for g in self.group]
         self.index = {e: i for i, e in enumerate(self.elements)}
 
@@ -346,14 +337,10 @@ class CrossProduct:
             raise ValueError("phase incompatible with the root order")
         return self.field.zeta(int(power))
 
-    def fixed_vars(self, g):
-        return tuple(v for v in range(len(self.powers))
-                     if self.action.fixes_variable(g, v))
-
     def sector_algebra(self, g):
         """Curved algebra of the fixed subspace of g, over the same field."""
         from .hochschild import FiniteCurvedAlgebra
-        fv = set(self.fixed_vars(g))
+        fv = set(fixed_locus(self.action, g))
         keep = [m for m in self.base_monomials
                 if all(e == 0 or v in fv for v, e in enumerate(m))]
         idx = {m: i for i, m in enumerate(keep)}
@@ -396,7 +383,7 @@ def psi_map(cp, chain):
     g_total = action.char_zero()
     for _m, g in elems:
         g_total = action.char_add(g_total, g)
-    fv = set(cp.fixed_vars(g_total))
+    fv = set(fixed_locus(action, g_total))
     scalar = cp.field.one
     prefix = action.char_zero()
     out = []
@@ -454,16 +441,16 @@ def psi_matrices(cp, max_tensor):
 
 def _sector_block_boundaries(cp, layout, max_tensor):
     """Both differentials of the direct sum of the sector chain windows."""
-    from .hochschild import ChainWindow, _assemble_block
+    from .hochschild import ChainWindow, _total
     wins = {g: layout[g][3] for g in cp.group}
     dims = {(g, k): wins[g].dim(k) for g in cp.group
             for k in range(max_tensor + 1)}
 
     def block_diagonal(part, k, dk):
-        blocks = {((g, k), (g, dk)): part(wins[g], k) for g in cp.group}
-        return _assemble_block([(g, k) for g in cp.group],
-                               [(g, dk) for g in cp.group], dims, dims,
-                               blocks, cp.field)
+        def block(s, t):
+            return part(wins[s[0]], k) if s[0] == t[0] else None
+        return _total([(g, k) for g in cp.group], [(g, dk) for g in cp.group],
+                      dims, block, cp.field)
 
     bm = {k: block_diagonal(ChainWindow.boundary_minus, k, k - 1)
           for k in range(1, max_tensor + 1)}

@@ -174,6 +174,21 @@ def test_mf_graded_audit(tmp_path, capsys):
     assert doc["twists0"] == [0] and doc["twists1"] == [1]
 
 
+@pytest.mark.parametrize("twists", ["twists0 0\ntwists1 1\n",
+                                    "twists0 0 0 5\ntwists1 1 1\n"],
+                         ids=["too-short", "too-long"])
+def test_mf_twist_list_of_the_wrong_length_exits_parse(tmp_path, capsys,
+                                                       twists):
+    # the rank-2 factorization of x^2 + y^2 has two summands on each side
+    model = write(tmp_path, "q.lg", "field rational\nvariables x y\n"
+                  "potential x^2+y^2\n")
+    fact = write(tmp_path, "q.mf", "P0 x, y; -y, x\nP1 x, -y; y, x\n" + twists)
+    code, out, err = run(capsys, ["mf", model, fact, "graded-audit",
+                                  "--format", "machine"])
+    assert code == EXIT_PARSE and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 

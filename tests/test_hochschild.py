@@ -7,9 +7,8 @@ import pytest
 from conftest import make_model
 from lghomology.errors import (BadFunctional, InfiniteCarrier,
                                PositiveDegreeCarrier, WindowTooSmall)
-from lghomology.hochschild import (BicomplexWindow, ChainWindow,
-                                   CochainWindow, FiniteCurvedAlgebra,
-                                   HomologyReport,
+from lghomology.hochschild import (ChainWindow, CochainWindow,
+                                   FiniteCurvedAlgebra, HomologyReport,
                                    PureCurvatureSpace, bar_minus, bar_plus,
                                    bm_spot_homology, cochain_diff,
                                    compact_type_check,
@@ -259,21 +258,6 @@ def test_compact_type_guards():
         compact_type_check(FiniteCurvedAlgebra.truncated_polynomial(2, {}))
     with pytest.raises(PositiveDegreeCarrier):
         compact_type_check(FiniteCurvedAlgebra.graded_points([1]))
-
-
-# ---------------------------------------------------------------------------
-# Bicomplex windows
-
-
-def test_bicomplex_window_squares():
-    alg = FiniteCurvedAlgebra.truncated_polynomial(3, {2: 1})
-    win = BicomplexWindow.build(alg, 0, 3, 0, 4)
-    assert win.check_squares()
-    # tamper with an interior horizontal block and confirm detection
-    key = (2, 3)
-    assert win.horizontal[key].entries
-    win.horizontal[key] = negate_first_entry(win.horizontal[key])
-    assert not win.check_squares()
 
 
 # ---------------------------------------------------------------------------

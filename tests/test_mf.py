@@ -10,7 +10,7 @@ from lghomology.errors import (DegreeConstraintViolated, MethodUnsupported,
                                ModelMismatch, ParityViolation, ShapeMismatch)
 from lghomology.jacobi import INFINITE
 from lghomology.mf import (MatrixFactorization, PolyMatrix, TwistObject,
-                           apply_differential, direct_sum, ext_dims,
+                           direct_sum, ext_dims,
                            graded_hom_dims, hat_degree, hom_complex,
                            koszul_factorization, maurer_cartan_check,
                            smith_diagonalize, trivial_factorization,
@@ -87,10 +87,11 @@ def test_identity_is_a_cycle():
     model, mf = uni_mf(3, 1)
     hom = hom_complex(mf, mf)
     ring = model.ring
-    ident = (PolyMatrix.identity(ring, mf.rank0),
-             PolyMatrix.identity(ring, mf.rank1))
-    out0, out1 = apply_differential(hom, ident, 0)
-    assert out0.is_zero() and out1.is_zero()
+    # the identity's coordinates: a one on the diagonal of both blocks
+    ident = PolyMatrix(ring, [[ring.one() if i == j else ring.zero()]
+                              for _blk, i, j in hom.even_entries])
+    assert not ident.is_zero()
+    assert (hom.d_even @ ident).is_zero()
 
 
 def test_hom_complex_rejects_mixed_models():
