@@ -82,6 +82,11 @@ FILES = {
                   'variables x y\n'
                   'potential x^2*y^2+x^4+y^4\n'
                   'group order 2 weights 1 0\n'),
+    'ord_xy.lg': ('field prime 7\n'
+                  'variables x y\n'
+                  'potential 3*x*y\n'
+                  'carrier truncated 2 2\n'
+                  'window tensor=6\n'),
 }
 
 # (lgh arguments, exit code, stdout, stderr)
@@ -183,6 +188,11 @@ GOLDEN = [
     (['hh', 'bm0.lg', '--variant', 'bm'], 4,
      '',
      'error: degree 1 (parity offset 0) did not settle in 0 shifts\n'),
+    (['hh', 'ord_xy.lg', '--variant', 'ordinary'], 0,
+     '{"command":"hh","dims":{"even":0,"odd":0},"potential":"3*x*y","s'
+     'chema_version":1,"stabilized_at":{"0":2,"1":3},"variant":"ordina'
+     'ry"}\n',
+     ''),
 ]
 
 
