@@ -28,11 +28,11 @@ from fractions import Fraction
 
 from .errors import (FactorizationInvalid, LGError, NoStabilization,
                      NonIsolated, NonIsolatedSector, ParseError)
-from .hochschild import hh_bm_graded, hh_ordinary
+from .hochschild import FiniteCurvedAlgebra, hh_bm_graded, hh_ordinary
 from .jacobi import (INFINITE, LGModel, canonical_data, canonical_module,
                      jacobi_data, socle_degree)
 from .linalg import PrimeField, QQ
-from .orbifold import GroupAction, cross_product, orbifold_hh_bm
+from .orbifold import GroupAction, orbifold_hh_bm
 from .poly import PolyRing, parse_polynomial
 
 SCHEMA_VERSION = 1
@@ -66,6 +66,8 @@ class ModelFile:
             raise ParseError("model file declares no potential")
         ring = PolyRing(self.names, self.weights, field=self.field)
         potential = parse_polynomial(self.potential_src, ring)
+        if self.group is not None and len(self.group.weights) != ring.nvars:
+            raise ParseError("group line needs one weight per variable")
         if self.carrier is not None:
             if len(self.carrier) != ring.nvars:
                 raise ParseError("carrier line needs one truncation power "
@@ -305,14 +307,13 @@ def cmd_hh(args):
     if args.variant == "ordinary":
         if mf.carrier is None:
             raise ParseError("the ordinary variant needs a carrier line")
-        trivial = GroupAction.cyclic(1, tuple(0 for _ in mf.carrier))
-        cp = cross_product(trivial, mf.carrier, model.potential.terms,
-                           field=model.ring.field)
+        carrier = FiniteCurvedAlgebra.truncated(
+            mf.carrier, model.potential.terms, model.ring.field)
         window = args.window if args.window is not None else \
             mf.window.get("tensor", 10)
         if window < 1:
             raise ParseError("--window must be at least 1")
-        rep = hh_ordinary(cp.algebra, max_tensor=window)
+        rep = hh_ordinary(carrier, max_tensor=window)
         return {
             "command": "hh",
             "variant": "ordinary",

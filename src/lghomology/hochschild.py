@@ -24,6 +24,8 @@ one rule giving the component between two spaces.
 
 from __future__ import annotations
 
+from itertools import product as iter_product
+
 from .errors import (BadFunctional, InfiniteCarrier, PositiveDegreeCarrier,
                      WindowTooSmall)
 # ``rank`` is unused here but kept: lghbench/tracer.py rebinds hochschild.rank
@@ -121,10 +123,9 @@ class FiniteCurvedAlgebra:
     cohomological degrees used for Koszul signs and compact-type checks.
     """
 
-    def __init__(self, labels, mult, curvature, unit=0, degrees=None, field=QQ,
+    def __init__(self, dim, mult, curvature, unit=0, degrees=None, field=QQ,
                  check=True):
-        self.labels = list(labels)
-        self.dim = len(self.labels)
+        self.dim = dim
         self.field = field
         self.unit = unit
         self.degrees = list(degrees) if degrees is not None else None
@@ -179,21 +180,42 @@ class FiniteCurvedAlgebra:
         return [i for i in range(self.dim) if i != self.unit]
 
     @classmethod
+    def truncated(cls, powers, curvature_terms, field, degrees=None):
+        """k[x_1..x_n]/(x_i^{p_i}), p = ``powers``, on its monomial basis.
+
+        The basis is the exponent tuples below ``powers`` in
+        ``itertools.product`` order, so the unit is index 0.  The curvature
+        is given as {exponent tuple: scalar}; ``degrees``, if given, lists
+        the cohomological degree of each variable.
+        """
+        monos = list(iter_product(*(range(p) for p in powers)))
+        index = {m: i for i, m in enumerate(monos)}
+        one = field.one
+        mult = {}
+        for i, a in enumerate(monos):
+            for j, b in enumerate(monos):
+                k = index.get(tuple(x + y for x, y in zip(a, b)))
+                if k is not None:
+                    mult[(i, j)] = {k: one}
+        curvature = {}
+        for m, c in curvature_terms.items():
+            if m not in index:
+                raise ValueError("curvature monomial %r lies outside the "
+                                 "truncation %r" % (m, tuple(powers)))
+            curvature[index[m]] = c
+        if degrees is not None:
+            degrees = [sum(e * d for e, d in zip(m, degrees)) for m in monos]
+        return cls(len(monos), mult, curvature, unit=0, degrees=degrees,
+                   field=field)
+
+    @classmethod
     def truncated_polynomial(cls, power, curvature_coeffs, field=QQ,
                              generator_degree=None):
         """k[x]/(x^power) with curvature given as {exponent: coefficient}."""
-        labels = ["x^%d" % e for e in range(power)]
-        mult = {}
-        one = field.one
-        for i in range(power):
-            for j in range(power):
-                if i + j < power:
-                    mult[(i, j)] = {i + j: one}
-        curv = {e: field.from_fraction(c) for e, c in curvature_coeffs.items() if c}
-        degrees = None
-        if generator_degree is not None:
-            degrees = [e * generator_degree for e in range(power)]
-        return cls(labels, mult, curv, unit=0, degrees=degrees, field=field)
+        return cls.truncated(
+            (power,), {(e,): field.from_fraction(c)
+                       for e, c in curvature_coeffs.items()},
+            field, None if generator_degree is None else (generator_degree,))
 
     @classmethod
     def graded_points(cls, degrees, field=QQ):
@@ -202,14 +224,13 @@ class FiniteCurvedAlgebra:
         Basis: 1 in degree 0 and one generator per entry of ``degrees``;
         products of two non-unit elements vanish.  Flat (zero curvature).
         """
-        labels = ["1"] + ["e%d" % i for i in range(len(degrees))]
         one = field.one
         n = len(degrees) + 1
         mult = {}
         for i in range(n):
             mult[(0, i)] = {i: one}
             mult[(i, 0)] = {i: one}
-        return cls(labels, mult, {}, unit=0, degrees=[0] + list(degrees),
+        return cls(n, mult, {}, unit=0, degrees=[0] + list(degrees),
                    field=field)
 
 
@@ -295,7 +316,7 @@ class PureCurvatureSpace(FiniteCurvedAlgebra):
     """
 
     def __init__(self, dim_, curvature, field=QQ):
-        super().__init__(range(dim_), {}, curvature, unit=None, field=field,
+        super().__init__(dim_, {}, curvature, unit=None, field=field,
                          check=False)
         if not self.curvature:
             raise ValueError("curvature element must be nonzero")
@@ -509,41 +530,38 @@ def _total(src, dst, dims, block, field):
 def hh_ordinary(algebra, max_tensor=10):
     """Parity-graded homology of the direct-sum total complex, windowed.
 
-    The window at cap M holds all tensor degrees of one parity up to M;
-    enlarging M by two adds one column.  A value is accepted once two
-    consecutive caps agree (``settle``).
+    ``differential(parity, cap)`` maps the tensor degrees of ``parity`` up
+    to ``cap`` to those of the other parity up to ``cap + 1``; the value at
+    cap M is the homology at its source.  Enlarging M by two adds one
+    column, and a value is accepted once two consecutive caps agree
+    (``settle``).  Boundaries are built only for the caps ``settle`` reads.
     """
     if not algebra.curvature:
         raise ValueError("curvature element is zero; use a flat computation")
-    win = ChainWindow(algebra, max_tensor + 1)
-    bm, bp = win.all_boundaries()
-    dims_of = {k: win.dim(k) for k in range(max_tensor + 2)}
-    field = algebra.field
+    win = ChainWindow(algebra, max_tensor)
+    dims = [win.dim(k) for k in range(max_tensor + 1)]
 
     def block(k, t):
         if t == k - 1:
-            return bm[k]
+            return win.boundary_minus(k)
         if t == k + 1:
-            return bp[k]
+            return win.boundary_plus(k)
         return None
 
-    def spot_value(parity, cap):
-        # chains: tensor degrees of this parity up to cap
-        mid = range(parity, cap + 1, 2)
-        src = range(1 - parity, cap, 2)      # cap M-1
-        dst = range(1 - parity, cap + 2, 2)  # cap M+1
-        return homology_dim(_total(src, mid, dims_of, block, field),
-                            _total(mid, dst, dims_of, block, field))
+    def differential(parity, cap):
+        return _total(range(parity, cap + 1, 2), range(1 - parity, cap + 2, 2),
+                      dims, block, algebra.field)
 
-    dims = {}
+    out = {}
     stab = {}
     for parity in (0, 1):
-        caps = ((cap, spot_value(parity, cap))
+        caps = ((cap, homology_dim(differential(1 - parity, cap - 1),
+                                   differential(parity, cap)))
                 for cap in range(parity, max_tensor, 2))
-        dims[parity], stab[parity] = settle(
+        out[parity], stab[parity] = settle(
             caps, "parity %d did not settle within tensor window %d"
             % (parity, max_tensor))
-    return HomologyReport("ordinary", dims, stab)
+    return HomologyReport("ordinary", out, stab)
 
 
 # ---------------------------------------------------------------------------

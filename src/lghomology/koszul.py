@@ -22,28 +22,27 @@ from .poly import mono_mul
 # Bases
 
 
-def form_basis(ring, k, grade):
-    """Monomial k-forms of the given grade, ordered deterministically."""
+def _basis(ring, k, grade, sign):
+    """Pairs (monomial, k variable indices), the monomial of degree grade +
+    sign * (weight sum of the indices), ordered deterministically."""
     out = []
     for idx in combinations(range(ring.nvars), k):
-        mono_deg = grade - sum(ring.weights[i] for i in idx)
+        mono_deg = grade + sign * sum(ring.weights[i] for i in idx)
         if mono_deg < 0:
             continue
         for m in ring.monomials_of_degree(mono_deg):
             out.append((m, idx))
     return out
+
+
+def form_basis(ring, k, grade):
+    """Monomial k-forms of the given grade, ordered deterministically."""
+    return _basis(ring, k, grade, -1)
 
 
 def polyvector_basis(ring, k, grade):
     """Monomial k-vector fields of the given grade."""
-    out = []
-    for idx in combinations(range(ring.nvars), k):
-        mono_deg = grade + sum(ring.weights[i] for i in idx)
-        if mono_deg < 0:
-            continue
-        for m in ring.monomials_of_degree(mono_deg):
-            out.append((m, idx))
-    return out
+    return _basis(ring, k, grade, 1)
 
 
 def _mono_partial(mono, i):

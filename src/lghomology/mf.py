@@ -311,31 +311,27 @@ def _udivmod(a, b):
 def smith_diagonalize(mat):
     """Diagonalize over k[x] by unimodular operations.
 
-    Returns (diag, V, Vinv) where diag lists the diagonal entries of the
-    transformed matrix and the column transform satisfies M.V = (row ops
-    applied to the diagonal form); kernel columns of M are the columns of V
-    beyond the rank.
+    Returns (diag, Vinv) where diag lists the diagonal entries of the
+    transformed matrix and Vinv inverts the column transform V, which
+    satisfies M.V = (row ops applied to the diagonal form); kernel columns
+    of M are the columns of V beyond the rank, so the rows of Vinv beyond
+    the rank give coordinates in the kernel.
     """
     ring = mat.ring
     if ring.nvars != 1:
         raise MethodUnsupported("diagonalization needs one variable")
     M = [row[:] for row in mat.data]
     m, n = mat.nrows, mat.ncols
-    V = PolyMatrix.identity(ring, n).data
     Vi = PolyMatrix.identity(ring, n).data
 
     def col_swap(a, b):
         for row in M:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
             row[a], row[b] = row[b], row[a]
         Vi[a], Vi[b] = Vi[b], Vi[a]
 
     def col_add(dst_c, src_c, q):
         # col_dst += q * col_src ; inverse is a row op on Vi
         for row in M:
-            row[dst_c] = row[dst_c] + q * row[src_c]
-        for row in V:
             row[dst_c] = row[dst_c] + q * row[src_c]
         for j in range(n):
             Vi[src_c][j] = Vi[src_c][j] - q * Vi[dst_c][j]
@@ -385,13 +381,13 @@ def smith_diagonalize(mat):
                 break
         t += 1
     diag = [M[i][i] for i in range(min(m, n))]
-    return diag, PolyMatrix(ring, V), PolyMatrix(ring, Vi)
+    return diag, PolyMatrix(ring, Vi)
 
 
 def _cohomology_dim_univariate(d_in, d_out):
     """dim_k of ker(d_out)/im(d_in) for free-module maps over k[x]."""
     ring = d_out.ring
-    diag, V, Vi = smith_diagonalize(d_out)
+    diag, Vi = smith_diagonalize(d_out)
     rank = sum(1 for e in diag if e)
     n = d_out.ncols
     ker_idx = [j for j in range(n) if j >= rank]
@@ -405,7 +401,7 @@ def _cohomology_dim_univariate(d_in, d_out):
         PolyMatrix.zero(ring, 0, d_in.ncols)
     if X.nrows == 0:
         return 0
-    diag2, _, _ = smith_diagonalize(X)
+    diag2, _ = smith_diagonalize(X)
     nonzero = [e for e in diag2 if e]
     if len(nonzero) < X.nrows:
         return INFINITE

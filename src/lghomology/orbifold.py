@@ -281,11 +281,7 @@ class CrossProduct:
             field = QQ if L == 1 else CyclotomicField(L)
         self.field = field
         self.root_order = L
-        base = []
-        ranges = [range(p) for p in self.powers]
-        for expo in iter_product(*ranges):
-            base.append(expo)
-        self.base_monomials = base
+        base = list(iter_product(*(range(p) for p in self.powers)))
         self.potential_terms = {}
         for m, c in potential_terms.items():
             if isinstance(c, (int, Fraction)):
@@ -307,7 +303,6 @@ class CrossProduct:
         self.elements = [(m, g) for m in base for g in self.group]
         self.index = {e: i for i, e in enumerate(self.elements)}
 
-        one = field.one
         mult = {}
         for i, (a, g) in enumerate(self.elements):
             for j, (b, h) in enumerate(self.elements):
@@ -322,9 +317,8 @@ class CrossProduct:
         for m, c in self.potential_terms.items():
             curvature[self.index[(m, action.identity)]] = c
         unit = self.index[(tuple(0 for _ in self.powers), action.identity)]
-        labels = ["%s#%s" % (m, g) for (m, g) in self.elements]
-        self.algebra = FiniteCurvedAlgebra(labels, mult, curvature, unit=unit,
-                                           field=field, check=True)
+        self.algebra = FiniteCurvedAlgebra(len(self.elements), mult, curvature,
+                                           unit=unit, field=field, check=True)
 
     def monomial_phase_scalar(self, g, mono):
         """Scalar by which g acts on the base monomial."""
@@ -338,27 +332,17 @@ class CrossProduct:
         return self.field.zeta(int(power))
 
     def sector_algebra(self, g):
-        """Curved algebra of the fixed subspace of g, over the same field."""
+        """Curved algebra of the fixed subspace of g, over the same field.
+
+        Returns the algebra, its basis monomials and their index map.
+        """
         from .hochschild import FiniteCurvedAlgebra
         fv = set(fixed_locus(self.action, g))
-        keep = [m for m in self.base_monomials
-                if all(e == 0 or v in fv for v, e in enumerate(m))]
+        powers = [p if v in fv else 1 for v, p in enumerate(self.powers)]
+        keep = list(iter_product(*(range(p) for p in powers)))
         idx = {m: i for i, m in enumerate(keep)}
-        one = self.field.one
-        mult = {}
-        for i, a in enumerate(keep):
-            for j, b in enumerate(keep):
-                prod = tuple(x + y for x, y in zip(a, b))
-                if any(e >= p for e, p in zip(prod, self.powers)):
-                    continue
-                mult[(i, j)] = {idx[prod]: one}
-        curvature = {}
-        for m, c in self.potential_terms.items():
-            if m in idx:
-                curvature[idx[m]] = c
-        unit = idx[tuple(0 for _ in self.powers)]
-        alg = FiniteCurvedAlgebra([str(m) for m in keep], mult, curvature,
-                                  unit=unit, field=self.field, check=True)
+        curvature = {m: c for m, c in self.potential_terms.items() if m in idx}
+        alg = FiniteCurvedAlgebra.truncated(powers, curvature, self.field)
         return alg, keep, idx
 
 

@@ -254,9 +254,14 @@ group order 2 weights 0 1
      "variables x\npotential x^2\ncarrier truncated 0\n"),
     (["jacobi"], "variables x\npotential %s*x^2\n"
      % ("1" * (MAX_LITERAL_DIGITS + 1))),
+    (["orbifold"], "variables x y\npotential x^3+y^3\n"
+     "group order 3 weights 1\n"),
+    (["orbifold"], "variables x y\npotential x^3+y^3\n"
+     "group order 3 weights 1 2 1\n"),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
-        "carrier-length", "carrier-power-0", "overlong-literal"])
+        "carrier-length", "carrier-power-0", "overlong-literal",
+        "group-weights-short", "group-weights-long"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     path = write(tmp_path, "bad.lg", text)
     code, _, err = run(capsys, [command[0], path] + command[1:])

@@ -17,7 +17,8 @@ from lghomology.hochschild import (ChainWindow, CochainWindow,
                                    poly_boundary_plus, vanishing_homotopy,
                                    vanishing_homotopy_cochain)
 from lghomology.jacobi import canonical_module
-from lghomology.linalg import QQ, Matrix
+from lghomology.linalg import QQ, Matrix, PrimeField
+from lghomology.orbifold import GroupAction, cross_product
 
 
 def trunc(power, curvature, **kw):
@@ -160,6 +161,21 @@ def test_ordinary_homology_vanishes_x3():
     assert rep.dims == {0: 0, 1: 0}
 
 
+def test_ordinary_builds_boundaries_only_up_to_the_settled_cap(monkeypatch):
+    sources = []
+    for name in ("boundary_minus", "boundary_plus"):
+        part = getattr(ChainWindow, name)
+
+        def recorded(win, k, part=part):
+            sources.append(k)
+            return part(win, k)
+        monkeypatch.setattr(ChainWindow, name, recorded)
+    rep = hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+    assert rep.dims == {0: 0, 1: 0}
+    assert rep.stabilization == {0: 2, 1: 3}
+    assert sources and max(sources) <= max(rep.stabilization.values())
+
+
 def test_ordinary_rejects_flat_algebra():
     alg = FiniteCurvedAlgebra.truncated_polynomial(2, {})
     with pytest.raises(ValueError):
@@ -270,6 +286,28 @@ def test_truncated_polynomial_structure():
     assert alg.product(1, 1) == {2: alg.field.one}
     assert alg.product(1, 2) == {}
     assert alg.curvature == {2: alg.field.one}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "gf7"])
+@pytest.mark.parametrize("powers, terms", [
+    ((3,), {(2,): 3}),
+    ((2, 3), {(1, 1): 3, (0, 2): -1}),
+    ((2, 2, 2), {(1, 1, 0): 3, (0, 0, 1): 2}),
+], ids=["3", "2-3", "2-2-2"])
+def test_truncated_matches_trivial_cross_product(field, powers, terms):
+    terms = {m: field.from_int(c) for m, c in terms.items()}
+    alg = FiniteCurvedAlgebra.truncated(powers, terms, field)
+    trivial = GroupAction.cyclic(1, (0,) * len(powers))
+    ref = cross_product(trivial, powers, terms, field=field).algebra
+    assert alg.dim == ref.dim
+    assert alg.mult == ref.mult
+    assert alg.curvature == ref.curvature
+    assert alg.unit == ref.unit == 0
+
+
+def test_truncated_rejects_curvature_outside_the_box():
+    with pytest.raises(ValueError):
+        FiniteCurvedAlgebra.truncated((2, 2), {(2, 0): QQ.one}, QQ)
 
 
 def test_graded_points_parities():

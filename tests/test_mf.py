@@ -188,7 +188,7 @@ def test_smith_diagonalization_matches_sympy():
     ring = make_model("x^2", "x").ring
     rows = [["x^2", "x"], ["x^3", "x^2+x"], ["0", "x"]]
     pm = PolyMatrix(ring, [[P(e, ring) for e in row] for row in rows])
-    diag, V, Vi = smith_diagonalize(pm)
+    diag, Vi = smith_diagonalize(pm)
     ours = sorted(e.degree() for e in diag if e)
 
     x = sympy.symbols("x")
@@ -198,8 +198,11 @@ def test_smith_diagonalization_matches_sympy():
     theirs = sorted(sympy.Poly(e, x).degree() for e in sm
                     if not sympy.simplify(e) == 0)
     assert ours == theirs
-    # the tracked transforms are mutually inverse
-    assert (V @ Vi) == PolyMatrix.identity(ring, pm.ncols)
+    # the tracked inverse transform is invertible over k[x]: its own Smith
+    # diagonal is all nonzero constants
+    vi_diag, _ = smith_diagonalize(Vi)
+    assert len(vi_diag) == pm.ncols
+    assert all(e and e.degree() == 0 for e in vi_diag)
 
 
 def test_infinite_ext_sentinel():
