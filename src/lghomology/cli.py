@@ -167,8 +167,12 @@ def parse_model_file(text):
                 elif name == "maxr":
                     mf.window["maxr"] = _window_int(name, val, lineno)
                 elif name == "degrees":
-                    mf.window["degrees"] = [_window_int(name, v, lineno)
-                                            for v in val.split(",")]
+                    degrees = [_window_int(name, v, lineno)
+                               for v in val.split(",")]
+                    if len(set(degrees)) != len(degrees):
+                        raise ParseError("window degrees repeat (line %d)"
+                                         % lineno)
+                    mf.window["degrees"] = degrees
                 else:
                     raise ParseError("unknown window key %r (line %d)"
                                      % (name, lineno))

@@ -535,11 +535,16 @@ def hh_ordinary(algebra, max_tensor=10):
     cap M is the homology at its source.  Enlarging M by two adds one
     column, and a value is accepted once two consecutive caps agree
     (``settle``).  Boundaries are built only for the caps ``settle`` reads.
+
+    Each differential serves two spots, as d_out of (parity, cap) and as
+    d_in of (1 - parity, cap + 1); it is assembled at its first use, kept
+    in ``shared`` and dropped at its second.
     """
     if not algebra.curvature:
         raise ValueError("curvature element is zero; use a flat computation")
     win = ChainWindow(algebra, max_tensor)
     dims = [win.dim(k) for k in range(max_tensor + 1)]
+    shared = {}
 
     def block(k, t):
         if t == k - 1:
@@ -549,8 +554,12 @@ def hh_ordinary(algebra, max_tensor=10):
         return None
 
     def differential(parity, cap):
-        return _total(range(parity, cap + 1, 2), range(1 - parity, cap + 2, 2),
-                      dims, block, algebra.field)
+        mat = shared.pop((parity, cap), None)
+        if mat is None:
+            mat = shared[(parity, cap)] = _total(
+                range(parity, cap + 1, 2), range(1 - parity, cap + 2, 2),
+                dims, block, algebra.field)
+        return mat
 
     out = {}
     stab = {}
@@ -568,22 +577,24 @@ def hh_ordinary(algebra, max_tensor=10):
 # Polynomial (graded) backend
 
 
-def poly_chain_basis(ring, k, total_degree, _cache={}):
-    """Monomial tensors (m_0 | .. | m_k), interior slots of positive degree."""
-    key = (ring, k, total_degree)
-    hit = _cache.get(key)
+def poly_chain_basis(ring, k, total_degree):
+    """Monomial tensors (m_0 | .. | m_k), interior slots of positive degree.
+
+    The tuple is built once per ring, k and degree, in the ring's cache.
+    """
+    key = (k, total_degree)
+    hit = ring._cache.get(key)
     if hit is not None:
         return hit
-    out = []
     if k == 0:
         out = [(m,) for m in ring.monomials_of_degree(total_degree)]
     else:
-        min_w = min(ring.weights)
-        for last_deg in range(min_w, total_degree - 0 + 1):
+        out = []
+        for last_deg in range(min(ring.weights), total_degree + 1):
             for rest in poly_chain_basis(ring, k - 1, total_degree - last_deg):
                 for m in ring.monomials_of_degree(last_deg):
                     out.append(rest + (m,))
-    _cache[key] = out
+    out = ring._cache[key] = tuple(out)
     return out
 
 
@@ -643,14 +654,21 @@ def _bm_differential(model, n, q):
     return _total(src, dst, dims, block, ring.field)
 
 
-def bm_spot_homology(model, n, q, ranks=None):
+def bm_spot_homology(model, n, q, ranks=None, shared=None):
     """Homology dimension of the first-quadrant total complex at (n, charge q).
 
     ``ranks``, if given, maps (n, q) to the rank of that differential; it
     is read and filled so that no differential is ranked twice.
+    ``shared``, if given, maps (n, q) to a differential built by another
+    spot: a spot whose n has the parity of the variable count leaves its
+    d_in there, and the spot at n + 1 pops it as its d_out.
     """
-    d_out = _bm_differential(model, n, q)
+    d_out = None if shared is None else shared.pop((n, q), None)
+    if d_out is None:
+        d_out = _bm_differential(model, n, q)
     d_in = _bm_differential(model, n + 1, q)
+    if shared is not None and (n - model.ring.nvars) % 2 == 0:
+        shared[(n + 1, q)] = d_in
     return homology_dim(d_in, d_out, ranks, ((n + 1, q), (n, q)))
 
 
@@ -660,27 +678,28 @@ def hh_bm_graded(model, internal_degrees, max_r=5):
     For each requested degree the value is read off the tower of
     first-quadrant windows; it is accepted when two consecutive shifts
     agree (``settle``).  The complementary parity is checked to stabilize
-    to zero.
+    to zero.  Raises ``ValueError`` if a degree is requested twice.
     """
     model.require_homogeneous()
+    if len(set(internal_degrees)) != len(internal_degrees):
+        raise ValueError("internal degrees repeat: %r" % (internal_degrees,))
     n0 = model.ring.nvars
     d = model.degree
     dims = {}
     stab = {}
-    # (n, q) -> rank: both parities at shift r use the differential at
-    # (n0+2r+1, q), the first as d_in, the second as d_out.
-    ranks = {}
     for e in internal_degrees:
+        # Both parities at shift r use the differential at (n0+2r+1, q), the
+        # first as d_in, the second as d_out: it is assembled once, kept in
+        # ``shared`` between the two uses, and ranked once (``ranks``).
+        ranks, shared = {}, {}
         for parity_offset in (0, 1):
             shifts = ((r, bm_spot_homology(model, n0 + parity_offset + 2 * r,
-                                           e + r * d, ranks))
+                                           e + r * d, ranks, shared))
                       for r in range(max_r + 1))
             settled, stab[(e, parity_offset)] = settle(
                 shifts, "degree %d (parity offset %d) did not settle in %d "
                 "shifts" % (e, parity_offset, max_r))
-            parity = (n0 + parity_offset) % 2
-            key = (e, parity)
-            dims[key] = dims.get(key, 0) + settled
+            dims[(e, (n0 + parity_offset) % 2)] = settled
     return HomologyReport("borel_moore", dims, stab)
 
 

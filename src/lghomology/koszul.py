@@ -118,20 +118,30 @@ def contract_dW(model, k, grade):
 def koszul_homology_dims(model, max_grade):
     """Homology of the contraction complex, per spot and grade.
 
-    Returns {k: {grade: dim}} with zero entries omitted.
+    Returns {k: {grade: dim}} with zero entries omitted, both levels in
+    ascending order.  The spots are walked one complex at a time: the
+    contraction keeps the charge g + k*d, and the d_in of spot (k, g) is
+    the d_out of the next spot (k + 1, g - d), so each map is built once
+    and dropped after that second use.
     """
     ring = model.ring
     d = model.degree
     lo = -sum(ring.weights)
     out = {}
-    for k in range(ring.nvars + 1):
-        for g in range(lo, max_grade + 1):
-            d_out = contract_dW(model, k, g)
+    for charge in range(lo, max_grade + ring.nvars * d + 1):
+        d_out = None
+        for k in range(ring.nvars + 1):
+            g = charge - k * d
+            if not lo <= g <= max_grade:
+                continue
+            if d_out is None:
+                d_out = contract_dW(model, k, g)
             d_in = contract_dW(model, k + 1, g - d)
             h = homology_dim(d_in, d_out)
             if h:
                 out.setdefault(k, {})[g] = h
-    return out
+            d_out = d_in
+    return {k: dict(sorted(out[k].items())) for k in sorted(out)}
 
 
 def koszul_concentrated(model, max_grade=None):

@@ -37,6 +37,12 @@ class PolyRing:
 
     A value type: rings with the same names, weights and field are equal
     and hash alike.  Treat the attributes as read-only.
+
+    ``_cache`` holds bases that are pure functions of the ring, built on
+    first use: the monomials of each degree, keyed by the degree
+    (``monomials_of_degree``), and the graded chain bases, keyed by
+    (tensor degree, degree) (``hochschild.poly_chain_basis``).  It lives
+    as long as the ring and takes no part in equality.
     """
 
     def __init__(self, names, weights=None, field=QQ):
@@ -44,6 +50,7 @@ class PolyRing:
         self.weights = ((1,) * len(self.names) if weights is None
                         else tuple(weights))
         self.field = field
+        self._cache = {}
         if len(self.weights) != len(self.names):
             raise ValueError("weights/names length mismatch")
         if any(w <= 0 for w in self.weights):
@@ -95,7 +102,13 @@ class PolyRing:
         return self.constant(1)
 
     def monomials_of_degree(self, deg):
-        """All monomials of exact weighted degree ``deg``, sorted descending."""
+        """All monomials of exact weighted degree ``deg``, sorted descending.
+
+        The tuple is built once per degree and returned again on later calls.
+        """
+        hit = self._cache.get(deg)
+        if hit is not None:
+            return hit
         out = []
 
         def rec(i, rem, cur):
@@ -111,6 +124,7 @@ class PolyRing:
 
         rec(0, deg, [])
         out.sort(key=self.order_key, reverse=True)
+        out = self._cache[deg] = tuple(out)
         return out
 
 

@@ -269,6 +269,16 @@ def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     assert "error" in err and "Traceback" not in err
 
 
+def test_repeated_bm_degree_exits_parse(tmp_path, capsys):
+    # degrees=3 alone gives 2; a repeated 3 must not be counted twice
+    path = write(tmp_path, "dup.lg", "variables x y\npotential x^3+y^3\n"
+                 "window degrees=3,3\n")
+    code, out, err = run(capsys, ["hh", path, "--variant", "bm",
+                                  "--format", "machine"])
+    assert code == EXIT_PARSE and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 def test_window_below_one_is_rejected(tmp_path, capsys):
     path = write(tmp_path, "x2.lg", X2_FINITE)
     code, _, err = run(capsys, ["hh", path, "--variant", "ordinary",

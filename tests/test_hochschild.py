@@ -176,6 +176,22 @@ def test_ordinary_builds_boundaries_only_up_to_the_settled_cap(monkeypatch):
     assert sources and max(sources) <= max(rep.stabilization.values())
 
 
+def test_ordinary_assembles_each_differential_once(monkeypatch):
+    import lghomology.hochschild as hochschild
+    real_total = hochschild._total
+    assembled = []
+
+    def recorded(src, dst, dims, block, field):
+        assembled.append((tuple(src), tuple(dst)))
+        return real_total(src, dst, dims, block, field)
+    monkeypatch.setattr(hochschild, "_total", recorded)
+    rep = hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+    assert rep.dims == {0: 0, 1: 0}
+    # differential(0, 2) is d_out at (0, 2) and d_in at (1, 3)
+    assert ((0, 2), (1, 3)) in assembled
+    assert len(assembled) == len(set(assembled))
+
+
 def test_ordinary_rejects_flat_algebra():
     alg = FiniteCurvedAlgebra.truncated_polynomial(2, {})
     with pytest.raises(ValueError):
@@ -251,6 +267,31 @@ def test_bm_ranks_each_differential_once(monkeypatch):
     # both parities at shift r use the differential at (2 + 2r + 1, q)
     assert (3, 3) in ranked and (5, 6) in ranked
     assert len(ranked) == len(set(ranked))
+
+
+def test_bm_assembles_each_differential_once(monkeypatch):
+    import lghomology.hochschild as hochschild
+    real_diff = hochschild._bm_differential
+    assembled = []
+
+    def differential(model, n, q):
+        assembled.append((n, q))
+        return real_diff(model, n, q)
+    monkeypatch.setattr(hochschild, "_bm_differential", differential)
+    model = make_model("x^3+y^3", "xy")
+    rep = hh_bm_graded(model, [2, 3, 4], max_r=5)
+    assert rep.dims == {(2, 0): 1, (3, 0): 2, (4, 0): 1,
+                        (2, 1): 0, (3, 1): 0, (4, 1): 0}
+    # the differential at (2 + 2r + 1, q) serves both parities at shift r
+    assert (3, 3) in assembled and (5, 6) in assembled
+    assert len(assembled) == len(set(assembled))
+
+
+def test_bm_rejects_a_repeated_degree():
+    model = make_model("x^3+y^3", "xy")
+    assert hh_bm_graded(model, [3]).dims == {(3, 0): 2, (3, 1): 0}
+    with pytest.raises(ValueError):
+        hh_bm_graded(model, [3, 3])
 
 
 # ---------------------------------------------------------------------------

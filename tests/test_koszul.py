@@ -53,6 +53,24 @@ def test_concentration_spot_dims_match_quotient():
     assert dims[0] == dict(jacobi_data(model).dims.dims)
 
 
+def test_homology_builds_each_contraction_once(monkeypatch):
+    import lghomology.koszul as koszul
+    built = []
+
+    def recorded(model, k, grade):
+        built.append((k, grade))
+        return contract_dW(model, k, grade)
+    monkeypatch.setattr(koszul, "contract_dW", recorded)
+    model = make_model("x^3+y^3+z^3", "xyz")
+    dims = koszul_homology_dims(model, 6)
+    assert set(dims) == {0}
+    assert dims[0] == dict(jacobi_data(model).dims.dims)
+    assert list(dims[0]) == sorted(dims[0])
+    # contract_dW(1, 0) is d_in at spot (0, 3) and d_out at spot (1, 0)
+    assert (1, 0) in built
+    assert len(built) == len(set(built))
+
+
 def test_split_insertion_identity_small_windows():
     model = make_model("x^2+y^2", "xy")
     for k in range(5):

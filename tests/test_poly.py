@@ -1,5 +1,6 @@
 """Multivariate polynomial arithmetic, parsing, and Groebner bases."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -263,3 +264,47 @@ def test_dimension_series_do_not_share_their_default_dict():
     a, b = DimensionSeries(), DimensionSeries()
     a.dims[0] = 1
     assert b.dims == {} and b.total == 0
+
+
+# ---------------------------------------------------------------------------
+# Caches
+
+
+def test_monomials_of_degree_is_built_once_per_degree():
+    ring = PolyRing(("x", "y"), (1, 2))
+    first = ring.monomials_of_degree(4)
+    assert first == ((4, 0), (2, 1), (0, 2))
+    assert isinstance(first, tuple)
+    assert ring.monomials_of_degree(4) is first
+    # the cache belongs to the ring and is not part of its value
+    other = PolyRing(("x", "y"), (1, 2))
+    assert other == ring and hash(other) == hash(ring)
+    assert other.monomials_of_degree(4) == first
+
+
+def _functions(module):
+    for value in vars(module).values():
+        if inspect.isfunction(value) and value.__module__ == module.__name__:
+            yield value
+        elif inspect.isclass(value) and value.__module__ == module.__name__:
+            for attr in vars(value).values():
+                attr = getattr(attr, "__func__", attr)
+                if inspect.isfunction(attr):
+                    yield attr
+
+
+def test_no_function_has_a_mutable_default_argument():
+    import importlib
+    import pkgutil
+
+    import lghomology
+    offenders = []
+    for info in pkgutil.iter_modules(lghomology.__path__):
+        module = importlib.import_module("lghomology." + info.name)
+        for fn in _functions(module):
+            defaults = list(fn.__defaults__ or ()) + \
+                list((fn.__kwdefaults__ or {}).values())
+            if any(isinstance(v, (list, dict, set, bytearray))
+                   for v in defaults):
+                offenders.append("%s.%s" % (info.name, fn.__qualname__))
+    assert offenders == []
