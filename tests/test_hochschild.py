@@ -17,7 +17,7 @@ from lghomology.hochschild import (ChainWindow, CochainWindow,
                                    poly_boundary_plus, vanishing_homotopy,
                                    vanishing_homotopy_cochain)
 from lghomology.jacobi import canonical_module
-from lghomology.linalg import QQ, Matrix, PrimeField
+from lghomology.linalg import QQ, Matrix, PrimeField, rank
 from lghomology.orbifold import GroupAction, cross_product
 
 
@@ -143,6 +143,61 @@ def test_cochain_differential_squares():
 def test_cochain_requires_finite_carrier():
     with pytest.raises(InfiniteCarrier):
         CochainWindow(object(), 3)
+
+
+def flat_cochain_cohomology(alg, window, top):
+    """dim H^i of a flat carrier's cochains per (i, internal degree), i <= top.
+
+    The differential raises the internal degree by one, so the rank of its
+    block at degree m is the rank of its columns of degree m.
+    """
+    win = CochainWindow(alg, window)
+
+    def rank_on(mat, cols):
+        pos = {c: p for p, c in enumerate(cols)}
+        return rank(Matrix(mat.rows, len(cols), mat.field,
+                           {(r, pos[c]): v for (r, c), v in mat.entries.items()
+                            if c in pos}))
+
+    def by_degree(i):
+        out = {}
+        for n, elem in enumerate(win.bases[i]):
+            out.setdefault(win.internal_degree(i, elem), []).append(n)
+        return out
+
+    dims = {}
+    for i in range(top + 1):
+        below = by_degree(i - 1) if i else {}
+        for m, cols in by_degree(i).items():
+            h = len(cols) - rank_on(win.d_mult(i), cols)
+            if i:
+                h -= rank_on(win.d_mult(i - 1), below.get(m - 1, []))
+            if h:
+                dims[(i, m)] = h
+    return dims
+
+
+@pytest.mark.parametrize("alg, expected", [
+    (FiniteCurvedAlgebra.graded_points([-1]),
+     {(0, -2): 1, (0, -1): 1, (1, 0): 1, (1, 1): 1, (2, 2): 1, (2, 3): 1,
+      (3, 4): 1, (3, 5): 1}),
+    (FiniteCurvedAlgebra.graded_points([-1, -2]),
+     {(0, -3): 1, (0, -2): 1, (0, -1): 1, (1, -1): 1, (1, 0): 2, (1, 1): 1,
+      (2, 1): 1, (2, 2): 2, (2, 3): 2, (2, 4): 1, (3, 3): 1, (3, 4): 3,
+      (3, 5): 4, (3, 6): 3, (3, 7): 1}),
+    (trunc(3, {}, generator_degree=-1),
+     {(0, -3): 1, (0, -1): 1, (1, 0): 1, (2, 3): 1, (3, 4): 1}),
+    (FiniteCurvedAlgebra.truncated((2, 2), {}, QQ, degrees=(-1, -2)),
+     {(0, -4): 1, (0, -3): 1, (0, -2): 1, (0, -1): 1, (1, -2): 1, (1, -1): 2,
+      (1, 0): 2, (1, 1): 1, (2, 0): 1, (2, 1): 2, (2, 2): 2, (2, 3): 1,
+      (2, 4): 1, (2, 5): 1, (3, 2): 1, (3, 3): 2, (3, 4): 2, (3, 5): 2,
+      (3, 6): 2, (3, 7): 1}),
+    (FiniteCurvedAlgebra.graded_points([-1], field=PrimeField(3)),
+     {(0, -2): 1, (0, -1): 1, (1, 0): 1, (1, 1): 1, (2, 2): 1, (2, 3): 1,
+      (3, 4): 1, (3, 5): 1}),
+], ids=["points-1", "points-1-2", "x3-odd", "x2-y2-odd-even", "points-1-gf3"])
+def test_flat_graded_cochain_cohomology_golden(alg, expected):
+    assert flat_cochain_cohomology(alg, 4, 3) == expected
 
 
 # ---------------------------------------------------------------------------
