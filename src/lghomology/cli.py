@@ -108,8 +108,8 @@ def parse_model_file(text):
                 try:
                     p = int(toks[1])
                     mf.field = PrimeField(p)
-                except ValueError:
-                    raise ParseError("bad prime %r (line %d)" % (toks[1], lineno))
+                except ValueError as exc:
+                    raise ParseError("bad prime (line %d): %s" % (lineno, exc))
                 mf.field_desc = "prime %d" % p
             else:
                 raise ParseError("bad field spec (line %d)" % lineno)
@@ -119,6 +119,9 @@ def parse_model_file(text):
                 name, _, w = tok.partition(":")
                 if not name.isidentifier():
                     raise ParseError("bad variable %r (line %d)" % (tok, lineno))
+                if name in names:
+                    raise ParseError("variable %r repeats (line %d)"
+                                     % (name, lineno))
                 names.append(name)
                 try:
                     weights.append(int(w) if w else 1)
@@ -165,7 +168,11 @@ def parse_model_file(text):
                         raise ParseError("window tensor must be at least 1 "
                                          "(line %d)" % lineno)
                 elif name == "maxr":
+                    # a value is accepted when two consecutive shifts agree
                     mf.window["maxr"] = _window_int(name, val, lineno)
+                    if mf.window["maxr"] < 1:
+                        raise ParseError("window maxr must be at least 1 "
+                                         "(line %d)" % lineno)
                 elif name == "degrees":
                     degrees = [_window_int(name, v, lineno)
                                for v in val.split(",")]
@@ -199,11 +206,15 @@ def parse_mf_file(text, ring):
         if not line:
             continue
         key, _, rest = line.partition(" ")
+        if key in data:
+            raise ParseError("duplicate %r line (line %d)" % (key, lineno))
         if key in ("P0", "P1"):
-            rows = []
-            for row_src in rest.split(";"):
-                rows.append([parse_polynomial(e.strip(), ring)
-                             for e in row_src.split(",")])
+            rows = [[parse_polynomial(e.strip(), ring)
+                     for e in row_src.split(",")]
+                    for row_src in rest.split(";")]
+            if len({len(row) for row in rows}) > 1:
+                raise ParseError("rows of %s differ in length (line %d)"
+                                 % (key, lineno))
             data[key] = PolyMatrix(ring, rows)
         elif key in ("twists0", "twists1"):
             try:
@@ -214,6 +225,11 @@ def parse_mf_file(text, ring):
             raise ParseError("unknown keyword %r (line %d)" % (key, lineno))
     if "P0" not in data or "P1" not in data:
         raise ParseError("factorization file needs P0 and P1 lines")
+    P0, P1 = data["P0"], data["P1"]
+    if (P1.nrows, P1.ncols) != (P0.ncols, P0.nrows):
+        raise ParseError("P0 is %dx%d, so P1 must be %dx%d, not %dx%d"
+                         % (P0.nrows, P0.ncols, P0.ncols, P0.nrows,
+                            P1.nrows, P1.ncols))
     return data
 
 

@@ -14,7 +14,8 @@ else.  Positions after the zeroth slot count with alternating signs; the
 wrap-around term additionally carries the Koszul sign of moving the last
 element past the others, and a curvature insertion the Koszul sign of
 moving W past the slots it jumps (cohomological degrees, when present,
-determine parities).  Cochain matrices are built by ``CochainWindow``.
+determine parities).  A cochain matrix is the transpose of a chain matrix
+with coefficients in the dual bimodule, on a ``CochainWindow``.
 
 Every total complex -- the direct-sum one of ordinary HH, the
 first-quadrant one of Borel-Moore HH, and the sum over orbifold sectors --
@@ -241,8 +242,9 @@ class FiniteCurvedAlgebra:
 class ChainWindow:
     """Truncated chain spaces of a finite curved algebra.
 
-    ``bases[k]`` lists the basis tensors of tensor degree ``k``; normalized
-    windows exclude the unit from all slots after the zeroth.
+    ``bases[k]`` lists the basis tensors of tensor degree ``k``; the zeroth
+    slot runs over ``coefficients()``, and normalized windows exclude the
+    unit from all slots after the zeroth.
     """
 
     def __init__(self, algebra, max_tensor, normalized=True):
@@ -253,24 +255,29 @@ class ChainWindow:
         self.parity = (None if algebra.degrees is None
                        else [d % 2 for d in algebra.degrees])
         slots = algebra.nonunit_indices() if normalized else list(range(algebra.dim))
+        basis = [(i,) for i in self.coefficients()]
         self.bases = []
         self.index = []
         for k in range(max_tensor + 1):
-            if k == 0:
-                basis = [(i,) for i in range(algebra.dim)]
-            else:
-                basis = [t + (i,) for t in self.bases[k - 1] for i in slots]
+            if k:
+                basis = [t + (i,) for t in basis for i in slots]
             self.bases.append(basis)
             self.index.append({t: n for n, t in enumerate(basis)})
+
+    def coefficients(self):
+        """Indices of the zeroth slot: the algebra itself."""
+        return range(self.algebra.dim)
+
+    def product(self, a, b):
+        return self.algebra.product(a, b)
 
     def dim(self, k):
         return len(self.bases[k])
 
     def boundary_minus(self, k):
         """Matrix of the multiplication part, C_k -> C_{k-1}."""
-        alg = self.algebra
-        return bar_minus(self.bases[k], self.index[k - 1], alg.product,
-                         self.parity, alg.field, self.unit)
+        return bar_minus(self.bases[k], self.index[k - 1], self.product,
+                         self.parity, self.algebra.field, self.unit)
 
     def boundary_plus(self, k):
         """Matrix of the curvature insertions, C_k -> C_{k+1}."""
@@ -366,26 +373,18 @@ def vanishing_homotopy(space, L, max_tensor):
 
 
 def vanishing_homotopy_cochain(space, L, max_tensor):
-    """Cochain-side homotopy: pairs the first argument with the functional."""
+    """Cochain-side homotopy: the transpose of the chain homotopy.
+
+    Returns the dict of h^k: C^k -> C^{k+1}; raises unless
+    d.h + h.d = id on the interior.
+    """
     L = _normalize_functional(space, L)
-    field = space.field
     win = CochainWindow(space, max_tensor + 1)
-
-    def h_mat(k):
-        # C^k -> C^{k+1}: [h(phi)](a_1..a_{k+1}) = L(a_1) phi(a_2..)
-        index = win.index[k]
-        out = {}
-        for row, (t, b) in enumerate(win.bases[k + 1]):
-            c = L.get(t[0], field.zero)
-            if not c:
-                continue
-            out[(row, index[(t[1:], b)])] = c
-        return Matrix(win.dim(k + 1), win.dim(k), field, out)
-
     d = {k: win.d_curv(k) for k in range(1, max_tensor + 2)}
-    h = {k: h_mat(k) for k in range(max_tensor + 1)}
+    h = {k: space.homotopy(win, L, k + 1).transpose()
+         for k in range(max_tensor + 1)}
     for k in range(max_tensor):
-        ident = Matrix.identity(win.dim(k), field)
+        ident = Matrix.identity(win.dim(k), space.field)
         lhs = d[k + 1] @ h[k]
         if k > 0:
             lhs = lhs + h[k - 1] @ d[k]
@@ -398,98 +397,59 @@ def vanishing_homotopy_cochain(space, L, max_tensor):
 # Cochain windows over a finite algebra
 
 
-class CochainWindow:
-    """Truncated cochain spaces Hom(A^{tensor i}, A) of a finite algebra."""
+class CochainWindow(ChainWindow):
+    """Truncated cochain spaces Hom(A^{tensor i}, A) of a finite algebra.
+
+    Hom(A^{tensor i}, A) is the dual of A^* (x) A^{tensor i} (Loday, *Cyclic
+    Homology*, 1.5), so cochains are the unnormalized chains with
+    coefficients in the dual bimodule A^*: index ``dim + b`` in the zeroth
+    slot stands for e_b^*, and the chain (dim + b,) + t for the cochain
+    sending e_t to e_b and every other basis tensor to zero.  Each cochain
+    matrix is the transpose of a chain matrix on this window.
+    """
 
     def __init__(self, algebra, max_tensor):
         if not isinstance(algebra, FiniteCurvedAlgebra):
             raise InfiniteCarrier("cochain computations need a finite carrier")
-        self.algebra = algebra
-        self.max_tensor = max_tensor
-        self.bases = []
-        self.index = []
-        ins = [()]
-        for i in range(max_tensor + 1):
-            basis = [(t, b) for t in ins for b in range(algebra.dim)]
-            self.bases.append(basis)
-            self.index.append({e: n for n, e in enumerate(basis)})
-            ins = [t + (j,) for t in ins for j in range(algebra.dim)]
+        super().__init__(algebra, max_tensor, normalized=False)
+        if self.parity is not None:
+            self.parity = self.parity * 2   # e_b^* has the parity of e_b
 
-    def dim(self, i):
-        return len(self.bases[i])
+    def coefficients(self):
+        return range(self.algebra.dim, 2 * self.algebra.dim)
+
+    def product(self, a, b):
+        """The product of A, extended by its two actions on A^*:
+        (f.a)(x) = f(ax) and (a.f)(x) = (-1)^{|a|(|f|+|x|)} f(xa)."""
+        alg = self.algebra
+        n = alg.dim
+        if a < n and b < n:
+            return alg.product(a, b)
+        out = {}
+        for x in range(n):
+            if a >= n:
+                v = alg.product(b, x).get(a - n)
+            else:
+                v = alg.product(x, a).get(b - n)
+                if v and self.parity and self.parity[a] and \
+                        self.parity[b] != self.parity[x]:
+                    v = -v
+            if v:
+                out[n + x] = v
+        return out
 
     def internal_degree(self, i, elem):
-        t, b = elem
         degs = self.algebra.degrees or [0] * self.algebra.dim
-        j = degs[b] - sum(degs[x] for x in t)
+        j = degs[elem[0] - self.algebra.dim] - sum(degs[x] for x in elem[1:])
         return i + j - 1
 
     def d_mult(self, i):
         """Multiplication part of the differential, C^i -> C^{i+1}."""
-        alg = self.algebra
-        field = alg.field
-        one, minus_one = field.one, field.from_int(-1)
-        src_index = self.index[i]
-        out = {}
-        for row, (s, b) in enumerate(self.bases[i + 1]):
-            pars = [alg.parity(x) for x in s]
-            # 1) a_1 * phi(a_2..a_{i+1})
-            t = s[1:]
-            for c in range(alg.dim):
-                prod = alg.product(s[0], c)
-                coeff = prod.get(b)
-                if coeff:
-                    col = src_index[(t, c)]
-                    phi_internal_par = 0
-                    if alg.degrees is not None:
-                        # parity of the cochain's output-minus-input degree
-                        phi_internal_par = (alg.degrees[c]
-                                            - sum(alg.degrees[x] for x in t)) % 2
-                    sign = one if (pars[0] * phi_internal_par) % 2 == 0 else minus_one
-                    add_to(out, (row, col), sign * coeff)
-            # 2) interior multiplications
-            for jpos in range(1, i + 1):
-                merged = alg.product(s[jpos - 1], s[jpos])
-                sign = one if jpos % 2 == 0 else minus_one
-                for mid, coeff in merged.items():
-                    t = s[:jpos - 1] + (mid,) + s[jpos + 1:]
-                    add_to(out, (row, src_index[(t, b)]), sign * coeff)
-            # 3) phi(a_1..a_i) * a_{i+1}
-            t = s[:i]
-            sign = one if (i + 1) % 2 == 0 else minus_one
-            for c in range(alg.dim):
-                prod = alg.product(c, s[i])
-                coeff = prod.get(b)
-                if coeff:
-                    col = src_index[(t, c)]
-                    add_to(out, (row, col), sign * coeff)
-        return Matrix(self.dim(i + 1), self.dim(i), field, out)
+        return self.boundary_minus(i + 1).transpose()
 
     def d_curv(self, i):
         """Curvature-insertion part of the differential, C^i -> C^{i-1}."""
-        alg = self.algebra
-        field = alg.field
-        one, minus_one = field.one, field.from_int(-1)
-        src_index = self.index[i]
-        out = {}
-        for row, (s, b) in enumerate(self.bases[i - 1]):
-            for j in range(i):
-                sign = one if j % 2 == 0 else minus_one
-                for idx, c in alg.curvature.items():
-                    col = src_index[(s[:j] + (idx,) + s[j:], b)]
-                    add_to(out, (row, col), sign * c)
-        return Matrix(self.dim(i - 1), self.dim(i), field, out)
-
-
-def cochain_diff(algebra, max_tensor):
-    """All cochain differential matrices on a window.
-
-    Returns (d_mult, d_curv): tensor-degree-raising and -lowering parts.
-    """
-    win = CochainWindow(algebra, max_tensor)
-    d_mult = {i: win.d_mult(i) for i in range(max_tensor)}
-    d_curv = {i: win.d_curv(i) for i in range(1, max_tensor + 1)}
-    return d_mult, d_curv
+        return self.boundary_plus(i - 1).transpose()
 
 
 # ---------------------------------------------------------------------------

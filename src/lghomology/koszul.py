@@ -24,7 +24,14 @@ from .poly import mono_mul
 
 def _basis(ring, k, grade, sign):
     """Pairs (monomial, k variable indices), the monomial of degree grade +
-    sign * (weight sum of the indices), ordered deterministically."""
+    sign * (weight sum of the indices), ordered deterministically.
+
+    The tuple is built once per ring, k, grade and sign, in the ring's cache.
+    """
+    key = (k, grade, sign)
+    hit = ring._cache.get(key)
+    if hit is not None:
+        return hit
     out = []
     for idx in combinations(range(ring.nvars), k):
         mono_deg = grade + sign * sum(ring.weights[i] for i in idx)
@@ -32,6 +39,7 @@ def _basis(ring, k, grade, sign):
             continue
         for m in ring.monomials_of_degree(mono_deg):
             out.append((m, idx))
+    out = ring._cache[key] = tuple(out)
     return out
 
 

@@ -10,7 +10,7 @@ on int residues; over Q(zeta) on field elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import CompositionNonzero, NoStabilization, ShapeMismatch
 
@@ -134,9 +134,16 @@ class FpElement:
         return "%d" % self.val
 
 
+# Characteristics accepted lie below this bound: primality is checked by
+# trial division, which takes about sqrt(p) steps.
+PRIME_BOUND = 2 ** 31
+
+
 class PrimeField(Field):
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_BOUND:
+            raise ValueError("characteristic must be below 2^31")
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError("%d is not prime" % p)
         self.p = p
         self.characteristic = p
@@ -411,6 +418,10 @@ class Matrix:
             for (j, w) in by_row.get(k, ()):
                 add_to(ent, (i, j), v * w)
         return Matrix(self.rows, other.cols, self.field, ent)
+
+    def transpose(self):
+        return Matrix(self.cols, self.rows, self.field,
+                      {(j, i): v for (i, j), v in self.entries.items()})
 
     @property
     def shape(self):

@@ -40,9 +40,11 @@ class PolyRing:
 
     ``_cache`` holds bases that are pure functions of the ring, built on
     first use: the monomials of each degree, keyed by the degree
-    (``monomials_of_degree``), and the graded chain bases, keyed by
-    (tensor degree, degree) (``hochschild.poly_chain_basis``).  It lives
-    as long as the ring and takes no part in equality.
+    (``monomials_of_degree``), the graded chain bases, keyed by
+    (tensor degree, degree) (``hochschild.poly_chain_basis``), and the
+    form and polyvector bases, keyed by (k, grade, sign)
+    (``koszul._basis``).  It lives as long as the ring and takes no part
+    in equality.
     """
 
     def __init__(self, names, weights=None, field=QQ):

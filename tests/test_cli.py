@@ -12,6 +12,7 @@ from lghomology.cli import (EXIT_ISOLATION, EXIT_MF_VERIFY, EXIT_PARSE,
                             EXIT_SECTOR, EXIT_STABILIZATION, main,
                             parse_model_file)
 from lghomology.errors import ParseError
+from lghomology.linalg import PRIME_BOUND
 from lghomology.poly import MAX_LITERAL_DIGITS, MAX_POWER_DEGREE
 
 QUARTIC = """\
@@ -174,15 +175,26 @@ def test_mf_graded_audit(tmp_path, capsys):
     assert doc["twists0"] == [0] and doc["twists1"] == [1]
 
 
-@pytest.mark.parametrize("twists", ["twists0 0\ntwists1 1\n",
-                                    "twists0 0 0 5\ntwists1 1 1\n"],
-                         ids=["too-short", "too-long"])
-def test_mf_twist_list_of_the_wrong_length_exits_parse(tmp_path, capsys,
-                                                       twists):
-    # the rank-2 factorization of x^2 + y^2 has two summands on each side
+RANK2 = "P0 x, y; -y, x\nP1 x, -y; y, x\n"
+
+
+@pytest.mark.parametrize("text", [
+    RANK2 + "twists0 0\ntwists1 1\n",
+    RANK2 + "twists0 0 0 5\ntwists1 1 1\n",
+    "P0 x, y; x\nP1 x, -y; y, x\n",
+    "P0 x, y; -y, x\nP1 x, -y\n",
+    "P0 x, y\nP1 x, y\n",
+    "P0 x, y; -y, x\n" + RANK2,
+    RANK2 + "P1 x, -y; y, x\n",
+    RANK2 + "twists0 0 0\ntwists0 0 1\n",
+], ids=["too-short", "too-long", "ragged-rows", "factors-not-composable",
+        "factors-same-shape", "repeated-P0", "repeated-P1",
+        "repeated-twists0"])
+def test_malformed_mf_exits_parse(tmp_path, capsys, text):
+    # RANK2 is a factorization of x^2 + y^2 with two summands on each side
     model = write(tmp_path, "q.lg", "field rational\nvariables x y\n"
                   "potential x^2+y^2\n")
-    fact = write(tmp_path, "q.mf", "P0 x, y; -y, x\nP1 x, -y; y, x\n" + twists)
+    fact = write(tmp_path, "q.mf", text)
     code, out, err = run(capsys, ["mf", model, fact, "graded-audit",
                                   "--format", "machine"])
     assert code == EXIT_PARSE and out == ""
@@ -258,10 +270,14 @@ group order 2 weights 0 1
      "group order 3 weights 1\n"),
     (["orbifold"], "variables x y\npotential x^3+y^3\n"
      "group order 3 weights 1 2 1\n"),
+    (["jacobi"], "variables x x\npotential x^3\n"),
+    (["hh"], "variables x\npotential x^3\nwindow maxr=-1\n"),
+    (["hh"], "variables x\npotential x^3\nwindow maxr=0\n"),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
         "carrier-length", "carrier-power-0", "overlong-literal",
-        "group-weights-short", "group-weights-long"])
+        "group-weights-short", "group-weights-long", "repeated-variable",
+        "window-maxr-negative", "window-maxr-0"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     path = write(tmp_path, "bad.lg", text)
     code, _, err = run(capsys, [command[0], path] + command[1:])
@@ -295,6 +311,19 @@ def test_window_below_one_is_rejected(tmp_path, capsys):
 ], ids=["huge-exponent", "degree-above-limit", "5000-digit-exponent"])
 def test_exponent_bomb_is_refused_at_parse_time(tmp_path, capsys, potential):
     path = write(tmp_path, "bomb.lg", "variables x\npotential %s\n" % potential)
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["jacobi", path])
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_PARSE
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prime", ["7" * 401, "1000000000000000003"],
+                         ids=["401-digit", "above-bound"])
+def test_huge_prime_is_refused_fast(tmp_path, capsys, prime):
+    assert int(prime) >= PRIME_BOUND
+    path = write(tmp_path, "p.lg", "field prime %s\nvariables x\n"
+                 "potential x^3\n" % prime)
     start = time.perf_counter()
     code, _, err = run(capsys, ["jacobi", path])
     assert time.perf_counter() - start < 0.5

@@ -185,9 +185,9 @@ GOLDEN = [
     (['hh', 'ord2.lg', '--variant', 'ordinary'], 4,
      '',
      'error: parity 0 did not settle within tensor window 2\n'),
-    (['hh', 'bm0.lg', '--variant', 'bm'], 4,
+    (['hh', 'bm0.lg', '--variant', 'bm'], 2,
      '',
-     'error: degree 1 (parity offset 0) did not settle in 0 shifts\n'),
+     'error: window maxr must be at least 1 (line 4)\n'),
     (['hh', 'ord_xy.lg', '--variant', 'ordinary'], 0,
      '{"command":"hh","dims":{"even":0,"odd":0},"potential":"3*x*y","s'
      'chema_version":1,"stabilized_at":{"0":2,"1":3},"variant":"ordina'

@@ -10,7 +10,7 @@ from lghomology.errors import (BadFunctional, InfiniteCarrier,
 from lghomology.hochschild import (ChainWindow, CochainWindow,
                                    FiniteCurvedAlgebra, HomologyReport,
                                    PureCurvatureSpace, bar_minus, bar_plus,
-                                   bm_spot_homology, cochain_diff,
+                                   bm_spot_homology,
                                    compact_type_check,
                                    hh_bm_graded, hh_ordinary,
                                    mixed_complex_check, poly_boundary_minus,
@@ -130,7 +130,9 @@ def test_homotopy_unnormalized_functional_is_rescaled():
 def test_cochain_differential_squares():
     for alg in (FiniteCurvedAlgebra.truncated_polynomial(3, {2: 1}),
                 FiniteCurvedAlgebra.graded_points([-1])):
-        d_mult, d_curv = cochain_diff(alg, 4)
+        win = CochainWindow(alg, 4)
+        d_mult = {i: win.d_mult(i) for i in range(4)}
+        d_curv = {i: win.d_curv(i) for i in range(1, 5)}
         for i in range(3):
             assert (d_mult[i + 1] @ d_mult[i]).is_zero()
         for i in range(2, 5):
@@ -138,6 +140,16 @@ def test_cochain_differential_squares():
         for i in range(1, 4):
             anti = d_curv[i + 1] @ d_mult[i] + d_mult[i - 1] @ d_curv[i]
             assert anti.is_zero()
+
+
+def test_cochain_signs_come_from_the_bar_engine():
+    import inspect
+    import lghomology.hochschild as hochschild
+    # the only sign written out besides bar_minus/bar_plus is the homotopy's
+    module = inspect.getsource(hochschild)
+    homotopy = inspect.getsource(PureCurvatureSpace.homotopy)
+    assert module.count("from_int(-1)") == homotopy.count("from_int(-1)") == 1
+    assert "Matrix(" not in inspect.getsource(CochainWindow)
 
 
 def test_cochain_requires_finite_carrier():
@@ -198,6 +210,22 @@ def flat_cochain_cohomology(alg, window, top):
 ], ids=["points-1", "points-1-2", "x3-odd", "x2-y2-odd-even", "points-1-gf3"])
 def test_flat_graded_cochain_cohomology_golden(alg, expected):
     assert flat_cochain_cohomology(alg, 4, 3) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
+                         ids=["q", "gf2", "gf3"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flat_cohomology_of_truncated_polynomial_oracle(field, n):
+    # The 2-periodic resolution of k[x]/(x^n) gives HH^0 = k[x]/(x^n) and,
+    # for i >= 1, HH^i = ker or coker of multiplication by n x^(n-1): of
+    # dimension n - 1, or n when the characteristic divides n.
+    alg = FiniteCurvedAlgebra.truncated((n,), {}, field)
+    dims = {}
+    for (i, _), h in flat_cochain_cohomology(alg, 5, 4).items():
+        dims[i] = dims.get(i, 0) + h
+    p = field.characteristic
+    higher = n if p and n % p == 0 else n - 1
+    assert dims == {0: n, 1: higher, 2: higher, 3: higher, 4: higher}
 
 
 # ---------------------------------------------------------------------------

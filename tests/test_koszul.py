@@ -71,6 +71,28 @@ def test_homology_builds_each_contraction_once(monkeypatch):
     assert len(built) == len(set(built))
 
 
+def test_homology_builds_each_polyvector_basis_once(monkeypatch):
+    import lghomology.koszul as koszul
+    asked, built = [], []
+    real_basis, real_combinations = koszul.polyvector_basis, koszul.combinations
+
+    def basis(ring, k, grade):
+        asked.append((k, grade))
+        return real_basis(ring, k, grade)
+
+    def combinations(pool, k):      # called once per basis actually built
+        built.append(k)
+        return real_combinations(pool, k)
+    monkeypatch.setattr(koszul, "polyvector_basis", basis)
+    monkeypatch.setattr(koszul, "combinations", combinations)
+    model = make_model("x^3+y^3+z^3", "xyz")
+    dims = koszul_homology_dims(model, 6)
+    assert dims[0] == dict(jacobi_data(model).dims.dims)
+    # each basis is the target of one contraction and the source of the next
+    assert len(asked) > len(set(asked))
+    assert len(built) == len(set(asked))
+
+
 def test_split_insertion_identity_small_windows():
     model = make_model("x^2+y^2", "xy")
     for k in range(5):
