@@ -43,6 +43,10 @@ EXIT_STABILIZATION = NoStabilization.exit_code
 EXIT_MF_VERIFY = FactorizationInvalid.exit_code
 EXIT_SECTOR = NonIsolatedSector.exit_code
 
+# hh_ordinary settles parity 1 on caps 1, 3, ... below the tensor window and
+# needs two of them, so a smaller window can never settle.
+MIN_TENSOR_WINDOW = 4
+
 
 # ---------------------------------------------------------------------------
 # Model files
@@ -164,9 +168,10 @@ def parse_model_file(text):
                 name, _, val = tok.partition("=")
                 if name == "tensor":
                     mf.window["tensor"] = _window_int(name, val, lineno)
-                    if mf.window["tensor"] < 1:
-                        raise ParseError("window tensor must be at least 1 "
-                                         "(line %d)" % lineno)
+                    if mf.window["tensor"] < MIN_TENSOR_WINDOW:
+                        raise ParseError("window tensor must be at least %d "
+                                         "(line %d)"
+                                         % (MIN_TENSOR_WINDOW, lineno))
                 elif name == "maxr":
                     # a value is accepted when two consecutive shifts agree
                     mf.window["maxr"] = _window_int(name, val, lineno)
@@ -331,8 +336,9 @@ def cmd_hh(args):
             mf.carrier, model.potential.terms, model.ring.field)
         window = args.window if args.window is not None else \
             mf.window.get("tensor", 10)
-        if window < 1:
-            raise ParseError("--window must be at least 1")
+        if window < MIN_TENSOR_WINDOW:
+            raise ParseError("--window must be at least %d"
+                             % MIN_TENSOR_WINDOW)
         rep = hh_ordinary(carrier, max_tensor=window)
         return {
             "command": "hh",

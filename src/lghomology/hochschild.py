@@ -206,8 +206,9 @@ class FiniteCurvedAlgebra:
             curvature[index[m]] = c
         if degrees is not None:
             degrees = [sum(e * d for e, d in zip(m, degrees)) for m in monos]
+        # associative, unital and commutative by construction: no _check
         return cls(len(monos), mult, curvature, unit=0, degrees=degrees,
-                   field=field)
+                   field=field, check=False)
 
     @classmethod
     def truncated_polynomial(cls, power, curvature_coeffs, field=QQ,
@@ -588,11 +589,8 @@ def _bm_spot_spaces(model, n, q):
     for i in range(n // 2 + 1):
         k = n - 2 * i
         D = q - i * d
-        if k < 0 or D < 0:
-            continue
-        if n - i < i:  # below the diagonal of the first-quadrant complex
-            continue
-        blocks.append((i, k, D))
+        if D >= 0:
+            blocks.append((i, k, D))
     return blocks
 
 

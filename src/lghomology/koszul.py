@@ -152,11 +152,10 @@ def koszul_homology_dims(model, max_grade):
     return {k: dict(sorted(out[k].items())) for k in sorted(out)}
 
 
-def koszul_concentrated(model, max_grade=None):
+def koszul_concentrated(model):
     """True when homology sits only at spot zero, matching the quotient ring."""
     from .jacobi import socle_degree
-    if max_grade is None:
-        max_grade = socle_degree(model) + model.degree
+    max_grade = socle_degree(model) + model.degree
     dims = koszul_homology_dims(model, max_grade)
     return dims_concentrated(model, dims, max_grade)
 

@@ -1,11 +1,13 @@
 """Matrix factorizations of a potential and their morphism complexes.
 
-A factorization is a pair of polynomial matrices composing to W times the
-identity on both sides.  Morphism spaces carry the two-periodic commutator
-differential; their cohomology is computed either exactly over univariate
-rings (diagonalization over the principal-ideal ring) or by quotienting by
-powers of the maximal ideal until two consecutive degree caps agree, the
-heuristic of ``linalg.settle``.
+A factorization is a free module E0 + E1 with one odd map
+D = [[0, P1], [P0, 0]] squaring to W times the identity; verification, the
+Hom differential and the graded degree audit all read D.  Morphism spaces
+carry the two-periodic commutator differential; their cohomology is
+computed either exactly over univariate rings (diagonalization over the
+principal-ideal ring) or by quotienting by powers of the maximal ideal
+until two consecutive degree caps agree, the heuristic of
+``linalg.settle``.
 
 The graded variant constrains entries to twist-adjusted degrees 0 and d;
 such objects also arise from twisted complexes over the cyclic-orbifold
@@ -102,7 +104,7 @@ class PolyMatrix:
 
 
 class MatrixFactorization:
-    """P0: E0 -> E1 and P1: E1 -> E0 with both compositions W times id.
+    """P0: E0 -> E1 and P1: E1 -> E0, the blocks of the odd map ``_odd_map``.
 
     ``twists0``/``twists1`` hold per-summand internal-degree twists for the
     graded case (a degree-zero map into the twist B(m) is multiplication
@@ -127,15 +129,18 @@ class MatrixFactorization:
         return self.P0.nrows
 
 
-def verify_mf(mf, model=None):
-    """True iff both compositions equal the potential times the identity."""
-    model = model or mf.model
-    ring = model.ring
-    W = model.potential
-    left = mf.P1 @ mf.P0
-    right = mf.P0 @ mf.P1
-    return left == PolyMatrix.identity(ring, mf.rank0, W) and \
-        right == PolyMatrix.identity(ring, mf.rank1, W)
+def _odd_map(mf):
+    """D = [[0, P1], [P0, 0]] on E0 + E1, rows and columns E0 first."""
+    ring = mf.model.ring
+    return _block(ring, [[PolyMatrix.zero(ring, mf.rank0, mf.rank0), mf.P1],
+                         [mf.P0, PolyMatrix.zero(ring, mf.rank1, mf.rank1)]])
+
+
+def verify_mf(mf):
+    """True iff D.D = W times the identity."""
+    D = _odd_map(mf)
+    return D @ D == PolyMatrix.identity(mf.model.ring, D.nrows,
+                                        mf.model.potential)
 
 
 def koszul_factorization(model, splitting):
@@ -204,84 +209,58 @@ def _block(ring, grid):
 
 
 class HomComplex:
-    """Two-periodic complex of B-linear maps between two factorizations.
+    """Two-periodic complex of B-linear maps E -> F between two factorizations.
 
-    Even maps are pairs (E0 -> F0, E1 -> F1); odd maps are pairs
-    (E0 -> F1, E1 -> F0).  The flattened differentials act on entry
-    coordinates with polynomial coefficients.
+    A coordinate (r, c) is the entry of a map in row r of F0 + F1 and
+    column c of E0 + E1; it is even when r and c lie in parts of the same
+    parity.  The flattened differentials act on these coordinates with
+    polynomial coefficients.
     """
 
-    def __init__(self, src, dst, d_even, d_odd, even_entries, odd_entries):
-        self.src = src
-        self.dst = dst
+    def __init__(self, d_even, d_odd, even_entries, odd_entries):
         self.d_even = d_even
         self.d_odd = d_odd
         self.even_entries = even_entries
         self.odd_entries = odd_entries
 
 
-def _hom_blocks(src, dst, parity):
-    """Entry coordinates of the even or odd part, as (block, row, col)."""
-    if parity == 0:
-        shapes = [(dst.rank0, src.rank0), (dst.rank1, src.rank1)]
-    else:
-        shapes = [(dst.rank1, src.rank0), (dst.rank0, src.rank1)]
-    out = []
-    for blk, (nr, nc) in enumerate(shapes):
-        for i in range(nr):
-            for j in range(nc):
-                out.append((blk, i, j))
-    return out
+def _hom_entries(src, dst, parity):
+    """Coordinates (r, c) of the given parity, row-major."""
+    return [(r, c) for r in range(dst.rank0 + dst.rank1)
+            for c in range(src.rank0 + src.rank1)
+            if ((r >= dst.rank0) != (c >= src.rank0)) == parity]
 
 
 def _flatten_d(src, dst, parity):
-    """Flattened commutator differential from the given parity to the other."""
+    """d(phi) = D_F phi - (-1)^|phi| phi D_E from the given parity to the other."""
     ring = src.model.ring
-    src_entries = _hom_blocks(src, dst, parity)
-    dst_entries = _hom_blocks(src, dst, 1 - parity)
+    DE, DF = _odd_map(src), _odd_map(dst)
+    src_entries = _hom_entries(src, dst, parity)
     pos = {e: n for n, e in enumerate(src_entries)}
     z = ring.zero()
-    out = [[z] * len(src_entries) for _ in range(len(dst_entries))]
-    sign = -1 if parity == 0 else 1  # -(-1)^{|phi|} phi Q
-    P0n, P1n = dst.P0, dst.P1
-    P0m, P1m = src.P0, src.P1
-    if parity == 0:
-        # phi = (phi0: E0->F0 [block 0], phi1: E1->F1 [block 1])
-        # d(phi) block 0: E0->F1 = P0n phi0 - phi1 P0m
-        # d(phi) block 1: E1->F0 = P1n phi1 - phi0 P1m
-        left = {0: (P0n, 0), 1: (P1n, 1)}
-        rightm = {0: (P0m, 1), 1: (P1m, 0)}
-    else:
-        # psi = (psi0: E0->F1 [block 0], psi1: E1->F0 [block 1])
-        # d(psi) block 0: E0->F0 = P1n psi0 + psi1 P0m
-        # d(psi) block 1: E1->F1 = P0n psi1 + psi0 P1m
-        left = {0: (P1n, 0), 1: (P0n, 1)}
-        rightm = {0: (P0m, 1), 1: (P1m, 0)}
-    for row, (blk, i, j) in enumerate(dst_entries):
-        P, src_blk = left[blk]
-        for k in range(P.ncols):
-            col = pos.get((src_blk, k, j))
-            if col is not None and P.data[i][k]:
-                out[row][col] = out[row][col] + P.data[i][k]
-        Q, src_blk = rightm[blk]
-        for k in range(Q.nrows):
-            col = pos.get((src_blk, i, k))
-            if col is not None and Q.data[k][j]:
-                term = Q.data[k][j]
-                if sign < 0:
-                    term = -term
-                out[row][col] = out[row][col] + term
-    return PolyMatrix(ring, out), src_entries, dst_entries
+    out = []
+    for r, c in _hom_entries(src, dst, 1 - parity):
+        row = [z] * len(src_entries)
+        for k, p in enumerate(DF.data[r]):
+            if p:
+                col = pos[(k, c)]
+                row[col] = row[col] + p
+        for k, drow in enumerate(DE.data):
+            if drow[c]:
+                col = pos[(r, k)]
+                row[col] = row[col] + (drow[c] if parity else -drow[c])
+        out.append(row)
+    return PolyMatrix(ring, out), src_entries
 
 
 def hom_complex(src, dst):
     if src.model != dst.model:
         raise ModelMismatch("factorizations live over different models")
-    d_even, even_entries, _ = _flatten_d(src, dst, 0)
-    d_odd, odd_entries, _ = _flatten_d(src, dst, 1)
+    d_even, even_entries = _flatten_d(src, dst, 0)
+    d_odd, odd_entries = _flatten_d(src, dst, 1)
     if not (d_odd @ d_even).is_zero() or not (d_even @ d_odd).is_zero():
         raise AssertionError("commutator differential does not square to zero")
-    return HomComplex(src, dst, d_even, d_odd, even_entries, odd_entries)
+    return HomComplex(d_even, d_odd, even_entries, odd_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +294,9 @@ def smith_diagonalize(mat):
     transformed matrix and Vinv inverts the column transform V, which
     satisfies M.V = (row ops applied to the diagonal form); kernel columns
     of M are the columns of V beyond the rank, so the rows of Vinv beyond
-    the rank give coordinates in the kernel.
+    the rank give coordinates in the kernel.  The diagonal need not be the
+    Smith normal form (diag(x+1, x) is not); only its rank and the sum of
+    its degrees, all the cohomology reads, are invariants.
     """
     ring = mat.ring
     if ring.nvars != 1:
@@ -408,51 +389,55 @@ def _cohomology_dim_univariate(d_in, d_out):
     return sum(e.leading_monomial()[0] for e in nonzero)
 
 
-def _degree_window_matrix(pm, cap, min_row_degree=None):
+def _degree_window_matrix(pm, cap):
     """Field matrix of a polynomial matrix on entries of degree at most cap.
 
     Columns range over (coordinate, monomial of degree <= cap); rows over
-    all reachable products, optionally keeping only rows whose monomial
-    degree exceeds ``min_row_degree``.
+    all reachable products.  Returns the matrix and the weighted degrees
+    of its columns and of its rows.
     """
     ring = pm.ring
-    field = ring.field
-    src = []
-    for j in range(pm.ncols):
-        for g in range(cap + 1):
-            for mm in ring.monomials_of_degree(g):
-                src.append((j, mm))
-    src_pos = {e: n for n, e in enumerate(src)}
+    src = [(j, g, mm) for j in range(pm.ncols) for g in range(cap + 1)
+           for mm in ring.monomials_of_degree(g)]
     row_pos = {}
+    row_degrees = []
     ent = {}
-    for col, (j, mm) in enumerate(src):
+    for col, (j, _g, mm) in enumerate(src):
         for i in range(pm.nrows):
-            p = pm.data[i][j]
-            if not p:
-                continue
-            for pmono, c in p.terms.items():
+            for pmono, c in pm.data[i][j].terms.items():
                 prod = mono_mul(pmono, mm)
-                if min_row_degree is not None and \
-                        ring.weighted_degree(prod) <= min_row_degree:
-                    continue
-                row = row_pos.setdefault((i, prod), len(row_pos))
+                row = row_pos.get((i, prod))
+                if row is None:
+                    row = row_pos[(i, prod)] = len(row_degrees)
+                    row_degrees.append(ring.weighted_degree(prod))
                 add_to(ent, (row, col), c)
-    return Matrix(len(row_pos), len(src), field, ent)
+    return (Matrix(len(row_degrees), len(src), ring.field, ent),
+            [g for _j, g, _mm in src], row_degrees)
 
 
 def _filtered_dims(hom, cap):
-    """(even, odd) dims of bounded-degree classes modulo larger-window images."""
-    big = 2 * cap
+    """(even, odd) dims of bounded-degree classes modulo larger-window images.
 
-    def one_side(d_out, d_in):
-        a = _degree_window_matrix(d_out, cap)
-        kernel_dim = a.cols - rank(a)
-        full = _degree_window_matrix(d_in, big)
-        high = _degree_window_matrix(d_in, big, min_row_degree=cap)
-        image_in_window = rank(full) - rank(high)
-        return kernel_dim - image_in_window
+    Each differential is assembled once, on entries of degree at most
+    2 cap.  Its columns of degree at most cap give the kernel window; its
+    rows of degree above cap hold the images that leave that window.
+    """
+    windows = [_degree_window_matrix(d, 2 * cap)
+               for d in (hom.d_even, hom.d_odd)]
 
-    return one_side(hom.d_even, hom.d_odd), one_side(hom.d_odd, hom.d_even)
+    def part(m, keep):
+        return Matrix(m.rows, m.cols, m.field,
+                      {e: v for e, v in m.entries.items() if keep(*e)})
+
+    def one_side(out, into):
+        a, col_degrees, _ = out
+        low = sum(1 for g in col_degrees if g <= cap)
+        kernel_dim = low - rank(part(a, lambda i, j: col_degrees[j] <= cap))
+        full, _, row_degrees = into
+        high = part(full, lambda i, j: row_degrees[i] > cap)
+        return kernel_dim - (rank(full) - rank(high))
+
+    return one_side(*windows), one_side(*windows[::-1])
 
 
 def ext_dims(src, dst, method="smith", bound=12):
@@ -556,24 +541,18 @@ def twist_to_graded_mf(obj, model):
     return MatrixFactorization(model, P0, P1, twists0=twists0, twists1=twists1)
 
 
-def verify_graded_degrees(gmf, model=None):
-    """Entries of P0 have twist-adjusted degree 0, of P1 degree d."""
-    model = model or gmf.model
-    d = model.degree
-    t0, t1 = gmf.twists0, gmf.twists1
-    if t0 is None or t1 is None:
+def verify_graded_degrees(gmf):
+    """Each nonzero D[r][c] is homogeneous of degree t[r] - t[c], plus d in
+    the rows of E0 (the P1 block), where t = twists0 + twists1."""
+    d = gmf.model.degree
+    if gmf.twists0 is None or gmf.twists1 is None:
         return False
-    for r, row in enumerate(gmf.P0.data):
+    t = gmf.twists0 + gmf.twists1
+    for r, row in enumerate(_odd_map(gmf).data):
+        shift = d if r < gmf.rank0 else 0
         for c, p in enumerate(row):
-            if not p:
-                continue
-            if not p.is_homogeneous() or p.degree() - (t1[r] - t0[c]) != 0:
-                return False
-    for r, row in enumerate(gmf.P1.data):
-        for c, p in enumerate(row):
-            if not p:
-                continue
-            if not p.is_homogeneous() or p.degree() - (t0[r] - t1[c]) != d:
+            if p and not (p.is_homogeneous() and
+                          p.degree() == t[r] - t[c] + shift):
                 return False
     return True
 

@@ -414,10 +414,7 @@ def psi_matrices(cp, max_tensor):
                 continue
             g, scalar, monos = image
             alg, keep, idx, swin = layout[g]
-            try:
-                local = swin.index[k][tuple(idx[m] for m in monos)]
-            except KeyError:
-                continue
+            local = swin.index[k][tuple(idx[m] for m in monos)]
             ent[(offsets[(g, k)] + local, col)] = scalar
         mats[k] = Matrix(totals[k], win.dim(k), cp.field, ent)
     return win, layout, offsets, totals, mats

@@ -539,27 +539,21 @@ def is_zero_dimensional(gb):
     return True
 
 
-def standard_monomials(gb, degree_cap=None):
+def standard_monomials(gb):
     """Monomials outside the leading-term ideal, sorted by weighted degree.
 
-    Without ``degree_cap`` the ideal must be zero-dimensional.
+    The ideal must be zero-dimensional.
     """
     ring = gb.ring
     leads = gb.leading_monomials()
-    if degree_cap is None:
-        if not is_zero_dimensional(gb):
-            raise NotZeroDimensional("staircase is infinite; pass degree_cap")
-        bounds = []
-        for i in range(ring.nvars):
-            powers = [m[i] for m in leads
-                      if m[i] > 0 and all(m[j] == 0 for j in range(ring.nvars) if j != i)]
-            bounds.append(min(powers))
-        candidates = itertools.product(*(range(b) for b in bounds))
-    else:
-        candidates = []
-        for deg in range(degree_cap + 1):
-            candidates.extend(ring.monomials_of_degree(deg))
-    out = [m for m in candidates
+    if not is_zero_dimensional(gb):
+        raise NotZeroDimensional("staircase is infinite")
+    bounds = []
+    for i in range(ring.nvars):
+        powers = [m[i] for m in leads
+                  if m[i] > 0 and all(m[j] == 0 for j in range(ring.nvars) if j != i)]
+        bounds.append(min(powers))
+    out = [m for m in itertools.product(*(range(b) for b in bounds))
            if not any(mono_divides(lead, m) for lead in leads)]
     out.sort(key=lambda m: (ring.weighted_degree(m),) + ring.order_key(m))
     return out

@@ -187,14 +187,18 @@ RANK2 = "P0 x, y; -y, x\nP1 x, -y; y, x\n"
     "P0 x, y; -y, x\n" + RANK2,
     RANK2 + "P1 x, -y; y, x\n",
     RANK2 + "twists0 0 0\ntwists0 0 1\n",
+    RANK2 + "twists0 a\n",
+    None,
 ], ids=["too-short", "too-long", "ragged-rows", "factors-not-composable",
         "factors-same-shape", "repeated-P0", "repeated-P1",
-        "repeated-twists0"])
+        "repeated-twists0", "twists-not-integers", "missing-file"])
 def test_malformed_mf_exits_parse(tmp_path, capsys, text):
-    # RANK2 is a factorization of x^2 + y^2 with two summands on each side
+    # RANK2 is a factorization of x^2 + y^2 with two summands on each side;
+    # no text means the .mf path does not exist
     model = write(tmp_path, "q.lg", "field rational\nvariables x y\n"
                   "potential x^2+y^2\n")
-    fact = write(tmp_path, "q.mf", text)
+    fact = write(tmp_path, "q.mf", text) if text is not None else \
+        str(tmp_path / "missing.mf")
     code, out, err = run(capsys, ["mf", model, fact, "graded-audit",
                                   "--format", "machine"])
     assert code == EXIT_PARSE and out == ""
@@ -273,15 +277,25 @@ group order 2 weights 0 1
     (["jacobi"], "variables x x\npotential x^3\n"),
     (["hh"], "variables x\npotential x^3\nwindow maxr=-1\n"),
     (["hh"], "variables x\npotential x^3\nwindow maxr=0\n"),
+    (["jacobi"], "variables x:a\npotential x^3\n"),
+    (["jacobi"], "variables\npotential x^3\n"),
+    (["orbifold"], "variables x\npotential x^3\ngroup order 3 weights a\n"),
+    (["hh", "--variant", "ordinary"],
+     "variables x\npotential x^2\ncarrier truncated a\n"),
+    (["jacobi"], None),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
         "carrier-length", "carrier-power-0", "overlong-literal",
         "group-weights-short", "group-weights-long", "repeated-variable",
-        "window-maxr-negative", "window-maxr-0"])
+        "window-maxr-negative", "window-maxr-0", "weight-not-integer",
+        "empty-variables", "group-weights-not-integers",
+        "carrier-power-not-integer", "missing-file"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
-    path = write(tmp_path, "bad.lg", text)
-    code, _, err = run(capsys, [command[0], path] + command[1:])
-    assert code == EXIT_PARSE
+    # no text means the model path does not exist
+    path = write(tmp_path, "bad.lg", text) if text is not None else \
+        str(tmp_path / "missing.lg")
+    code, out, err = run(capsys, [command[0], path] + command[1:])
+    assert code == EXIT_PARSE and out == ""
     assert "error" in err and "Traceback" not in err
 
 
@@ -296,13 +310,17 @@ def test_repeated_bm_degree_exits_parse(tmp_path, capsys):
 
 
 def test_window_below_one_is_rejected(tmp_path, capsys):
+    # parity 1 settles on caps 1, 3, ... below the window, so windows 1-3
+    # could never settle either
     path = write(tmp_path, "x2.lg", X2_FINITE)
-    code, _, err = run(capsys, ["hh", path, "--variant", "ordinary",
-                                "--window", "0"])
-    assert code == EXIT_PARSE and "Traceback" not in err
-    path = write(tmp_path, "x2w.lg", X2_FINITE + "window tensor=0\n")
-    code, _, err = run(capsys, ["hh", path, "--variant", "ordinary"])
-    assert code == EXIT_PARSE and "Traceback" not in err
+    for window in (0, 1, 2, 3):
+        code, _, err = run(capsys, ["hh", path, "--variant", "ordinary",
+                                    "--window", str(window)])
+        assert code == EXIT_PARSE and "Traceback" not in err
+        path_w = write(tmp_path, "x2w.lg",
+                       X2_FINITE + "window tensor=%d\n" % window)
+        code, _, err = run(capsys, ["hh", path_w, "--variant", "ordinary"])
+        assert code == EXIT_PARSE and "Traceback" not in err
 
 
 @pytest.mark.parametrize("potential", [

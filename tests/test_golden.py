@@ -14,6 +14,12 @@ FILES = {
     'weighted.lg': ('field rational\n'
                     'variables x:1 y:2\n'
                     'potential x^4+y^2+x^2*y\n'),
+    'commented.lg': ('# weighted.lg with comments and blank lines\n'
+                     '\n'
+                     'field rational   # the default\n'
+                     'variables x:1 y:2\n'
+                     '   \n'
+                     'potential x^4+y^2+x^2*y  # W\n'),
     'bm_q.lg': ('field rational\n'
                 'variables x:2 y:3\n'
                 'potential x^3-y^2\n'),
@@ -182,9 +188,9 @@ GOLDEN = [
     (['hh', 'nonhom.lg', '--variant', 'bm'], 1,
      '',
      'error: potential is not weighted-homogeneous\n'),
-    (['hh', 'ord2.lg', '--variant', 'ordinary'], 4,
+    (['hh', 'ord2.lg', '--variant', 'ordinary'], 2,
      '',
-     'error: parity 0 did not settle within tensor window 2\n'),
+     'error: window tensor must be at least 4 (line 5)\n'),
     (['hh', 'bm0.lg', '--variant', 'bm'], 2,
      '',
      'error: window maxr must be at least 1 (line 4)\n'),
@@ -194,6 +200,10 @@ GOLDEN = [
      'ry"}\n',
      ''),
 ]
+
+
+# comments and blank lines change nothing: same output as weighted.lg
+GOLDEN.append((['jacobi', 'commented.lg'],) + GOLDEN[0][1:])
 
 
 def _case_id(case):

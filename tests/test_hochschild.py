@@ -429,6 +429,45 @@ def test_truncated_matches_trivial_cross_product(field, powers, terms):
     assert alg.unit == ref.unit == 0
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)],
+                         ids=["q", "gf2", "gf7"])
+@pytest.mark.parametrize("powers, terms, degrees", [
+    ((1,), {}, None),
+    ((2,), {(1,): 1}, None),
+    ((3,), {(2,): 2}, None),
+    ((4,), {(3,): 1}, None),
+    ((4,), {(2,): 3}, None),
+    ((2,), {}, (-2,)),
+    ((3,), {}, (-1,)),
+    ((3,), {(2,): 1}, (-2,)),
+    ((3, 1), {(2, 0): 1}, None),
+    ((2, 2), {(1, 1): 3}, None),
+    ((2, 2), {}, (-1, -2)),
+    ((2, 3), {(1, 1): 3, (0, 2): -1}, None),
+    ((2, 2, 2), {(1, 1, 0): 3, (0, 0, 1): 2}, None),
+], ids=["1", "2-curved", "3-curved", "4-curved", "4-curved-x2", "2-graded",
+        "3-graded", "3-curved-graded", "3-1-curved", "2-2-curved",
+        "2-2-graded", "2-3-curved", "2-2-2-curved"])
+def test_truncated_carriers_pass_the_full_check(field, powers, terms,
+                                                degrees):
+    # truncated skips _check; every shape the tests and golden files build
+    # passes it anyway
+    terms = {m: field.from_int(c) for m, c in terms.items()}
+    FiniteCurvedAlgebra.truncated(powers, terms, field, degrees)._check()
+
+
+def test_truncated_skips_the_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("_check ran")
+
+    monkeypatch.setattr(FiniteCurvedAlgebra, "_check", refuse)
+    alg = FiniteCurvedAlgebra.truncated((4, 4, 3), {(1, 1, 1): QQ.one}, QQ)
+    assert alg.dim == 48
+    # a multiplication table a caller supplies is still checked
+    with pytest.raises(AssertionError):
+        FiniteCurvedAlgebra(1, {(0, 0): {0: QQ.one}}, {})
+
+
 def test_truncated_rejects_curvature_outside_the_box():
     with pytest.raises(ValueError):
         FiniteCurvedAlgebra.truncated((2, 2), {(2, 0): QQ.one}, QQ)

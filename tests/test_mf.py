@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_model
 from lghomology.errors import (DegreeConstraintViolated, MethodUnsupported,
                                ModelMismatch, ParityViolation, ShapeMismatch)
+import lghomology.mf as mf_module
 from lghomology.jacobi import INFINITE
 from lghomology.mf import (MatrixFactorization, PolyMatrix, TwistObject,
                            direct_sum, ext_dims,
@@ -87,9 +88,9 @@ def test_identity_is_a_cycle():
     model, mf = uni_mf(3, 1)
     hom = hom_complex(mf, mf)
     ring = model.ring
-    # the identity's coordinates: a one on the diagonal of both blocks
-    ident = PolyMatrix(ring, [[ring.one() if i == j else ring.zero()]
-                              for _blk, i, j in hom.even_entries])
+    # the identity's coordinates: a one where row and column agree
+    ident = PolyMatrix(ring, [[ring.one() if r == c else ring.zero()]
+                              for r, c in hom.even_entries])
     assert not ident.is_zero()
     assert (hom.d_even @ ident).is_zero()
 
@@ -172,6 +173,24 @@ def test_ext_koszul_quadric_truncate():
     assert ext_dims(mf, mf, method="truncate") == (2, 2)
 
 
+def test_truncate_assembles_each_differential_once_per_cap(monkeypatch):
+    model = make_model("x^2+y^2", "xy")
+    ring = model.ring
+    mf = koszul_factorization(model, [(P("x", ring), P("x", ring)),
+                                      (P("y", ring), P("y", ring))])
+    hom = hom_complex(mf, mf)
+    calls = []
+    assemble = mf_module._degree_window_matrix
+
+    def counting(pm, cap):
+        calls.append(cap)
+        return assemble(pm, cap)
+
+    monkeypatch.setattr(mf_module, "_degree_window_matrix", counting)
+    assert mf_module._filtered_dims(hom, 3) == (2, 2)
+    assert calls == [6, 6]
+
+
 def test_smith_method_needs_one_variable():
     model = make_model("x^2+y^2", "xy")
     ring = model.ring
@@ -186,23 +205,30 @@ def test_smith_diagonalization_matches_sympy():
     from sympy.matrices.normalforms import smith_normal_form
 
     ring = make_model("x^2", "x").ring
-    rows = [["x^2", "x"], ["x^3", "x^2+x"], ["0", "x"]]
-    pm = PolyMatrix(ring, [[P(e, ring) for e in row] for row in rows])
-    diag, Vi = smith_diagonalize(pm)
-    ours = sorted(e.degree() for e in diag if e)
-
     x = sympy.symbols("x")
-    sm = smith_normal_form(sympy.Matrix([[sympy.sympify(e.replace("^", "**"))
-                                          for e in row] for row in rows]),
-                           domain=sympy.QQ[x])
-    theirs = sorted(sympy.Poly(e, x).degree() for e in sm
-                    if not sympy.simplify(e) == 0)
-    assert ours == theirs
-    # the tracked inverse transform is invertible over k[x]: its own Smith
-    # diagonal is all nonzero constants
-    vi_diag, _ = smith_diagonalize(Vi)
-    assert len(vi_diag) == pm.ncols
-    assert all(e and e.degree() == 0 for e in vi_diag)
+    # the non-monomial inputs leave remainders, so rows and columns swap
+    for rows in ([["x^2", "x"], ["x^3", "x^2+x"], ["0", "x"]],
+                 [["x+1", "x"], ["x^2", "1"]],
+                 [["x+1", "0"], ["0", "x"]],
+                 [["x^2+1", "x"], ["x", "x^2-1"], ["x+1", "1"]],
+                 [["x+1", "x"]]):
+        pm = PolyMatrix(ring, [[P(e, ring) for e in row] for row in rows])
+        diag, Vi = smith_diagonalize(pm)
+        ours = [e.degree() for e in diag if e]
+
+        sm = smith_normal_form(
+            sympy.Matrix([[sympy.sympify(e.replace("^", "**")) for e in row]
+                          for row in rows]), domain=sympy.QQ[x])
+        theirs = [sympy.Poly(e, x).degree() for e in sm
+                  if not sympy.simplify(e) == 0]
+        # a diagonal form need not be the normal form (diag(x+1, x) is not),
+        # but rank and degree sum, all the cohomology reads, agree
+        assert (len(ours), sum(ours)) == (len(theirs), sum(theirs))
+        # the tracked inverse transform is invertible over k[x]: its own
+        # Smith diagonal is all nonzero constants
+        vi_diag, _ = smith_diagonalize(Vi)
+        assert len(vi_diag) == pm.ncols
+        assert all(e and e.degree() == 0 for e in vi_diag)
 
 
 def test_infinite_ext_sentinel():
