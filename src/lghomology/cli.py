@@ -389,7 +389,7 @@ def cmd_mf(args):
     mf = load_model_file(args.model)
     model = mf.build()
     fact = load_mf_file(args.factorization, model)
-    if args.action in ("verify", "graded-audit") and not verify_mf(fact):
+    if not verify_mf(fact):
         raise FactorizationInvalid(
             "compositions do not equal W times the identity")
     if args.action == "verify":

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import (DegreeConstraintViolated, MethodUnsupported,
-                     ModelMismatch, ParityViolation, ShapeMismatch)
+from .errors import (DegreeConstraintViolated, FactorizationInvalid,
+                     MethodUnsupported, ModelMismatch, ParityViolation,
+                     ShapeMismatch)
 # ``homology_dim`` is unused here but kept: lghbench pins mf.homology_dim
 from .linalg import Matrix, add_to, homology_dim, rank, settle  # noqa: F401
 from .poly import Polynomial, mono_mul
@@ -66,13 +67,12 @@ class PolyMatrix:
             raise ShapeMismatch("inner dimensions differ")
         z = self.ring.zero()
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    acc = acc + self.data[i][k] * other.data[k][j]
-                row.append(acc)
+        for left in self.data:
+            row = [z] * other.ncols
+            for a, right in zip(left, other.data):
+                if a:
+                    for j, b in enumerate(right):
+                        row[j] = row[j] + a * b
             out.append(row)
         return PolyMatrix(self.ring, out)
 
@@ -259,7 +259,8 @@ def hom_complex(src, dst):
     d_even, even_entries = _flatten_d(src, dst, 0)
     d_odd, odd_entries = _flatten_d(src, dst, 1)
     if not (d_odd @ d_even).is_zero() or not (d_even @ d_odd).is_zero():
-        raise AssertionError("commutator differential does not square to zero")
+        raise FactorizationInvalid(
+            "commutator differential does not square to zero")
     return HomComplex(d_even, d_odd, even_entries, odd_entries)
 
 

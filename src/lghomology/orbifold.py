@@ -44,6 +44,7 @@ class GroupAction:
                 raise ValueError("weight tuple length must match the orders")
         self.orders = orders
         self.weights = weights  # per variable, tuple of exponents per factor
+        self.root_order = math.lcm(*orders)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -92,15 +93,12 @@ class GroupAction:
                 out = self.char_add(out, self.char_scale(self.weights[v], e))
         return out
 
-    def phase(self, g, character):
-        """Rotation number in [0, 1) applied by g to a vector of the character."""
-        total = Fraction(0)
-        for gi, ci, d in zip(g, character, self.orders):
-            total += Fraction(gi * ci, d)
-        return total - math.floor(total)
-
-    def fixes_variable(self, g, v):
-        return self.phase(g, self.weights[v]) == 0
+    def power(self, g, character):
+        """Exponent p in [0, L) such that g scales a vector of the character
+        by zeta_L^p, where L is the lcm of the orders (``root_order``)."""
+        L = self.root_order
+        return sum(gi * ci * (L // d) for gi, ci, d
+                   in zip(g, character, self.orders)) % L
 
     def is_invariant(self, poly):
         zero = self.char_zero()
@@ -113,8 +111,8 @@ class GroupAction:
 
 def fixed_locus(action, g):
     """Indices of the variables fixed by the group element."""
-    return tuple(v for v in range(len(action.weights))
-                 if action.fixes_variable(g, v))
+    return tuple(v for v, w in enumerate(action.weights)
+                 if action.power(g, w) == 0)
 
 
 def restrict_potential(model, fixed_vars):
@@ -130,9 +128,7 @@ def restrict_potential(model, fixed_vars):
             continue
         add_to(terms, tuple(mono[v] for v in fixed_vars), c)
     poly = Polynomial(sub_ring, terms)
-    if not poly:
-        return sub_ring, None
-    if poly.degree() < 1:
+    if not poly or poly.degree() < 1:
         return sub_ring, None
     return sub_ring, LGModel(sub_ring, poly)
 
@@ -179,26 +175,22 @@ def sector_hh_bm(model, action, g):
     gb = jacobi_ideal(restricted)
     if not is_zero_dimensional(gb):
         raise NonIsolatedSector("restricted critical locus is not isolated")
-    volume = action.char_zero()
-    for v in fv:
-        volume = action.char_add(volume, action.weights[v])
     shift = restricted.weight_sum
     classes = []
     for mono in standard_monomials(gb):
-        # character of the monomial in the original variables
-        char = volume
+        # the class is mono times the volume form of the fixed variables
+        lifted = [0] * len(action.weights)
         for pos, v in enumerate(fv):
-            if mono[pos]:
-                char = action.char_add(
-                    char, action.char_scale(action.weights[v], mono[pos]))
-        classes.append((sub_ring.weighted_degree(mono) + shift, char))
+            lifted[v] = mono[pos] + 1
+        classes.append((sub_ring.weighted_degree(mono) + shift,
+                        action.monomial_character(lifted)))
     classes.sort()
     return SectorReport(g, fv, restricted, classes, parity)
 
 
 def coinvariant_dims(classes, action, field=QQ):
     """Number of invariant classes; equals coinvariants away from torsion."""
-    char = getattr(field, "characteristic", 0)
+    char = field.characteristic
     if char and action.order % char == 0:
         raise BadCharacteristic(
             "group order %d is divisible by the characteristic" % action.order)
@@ -269,18 +261,25 @@ class CrossProduct:
 
     Basis elements are pairs (exponent tuple, group element); products
     follow (a # g)(b # h) = a (g.b) # gh with g acting by root-of-unity
-    scalars.  The curvature is W # identity.
+    scalars.  The curvature is W # identity.  Every such scalar is
+    ``roots[p]`` = zeta_L^p for an integer power p (``GroupAction.power``);
+    ``chars`` holds the character of each base monomial and ``fixed`` the
+    fixed locus of each group element.
     """
 
     def __init__(self, action, powers, potential_terms, field=None):
         from .hochschild import FiniteCurvedAlgebra
         self.action = action
         self.powers = tuple(powers)
-        L = math.lcm(*action.orders)
+        L = action.root_order
         if field is None:
             field = QQ if L == 1 else CyclotomicField(L)
+        elif L > 1 and field != CyclotomicField(L):
+            # the scalars are powers of a primitive L-th root of unity
+            raise TypeError("a group of exponent %d acts over %r, not %r"
+                            % (L, CyclotomicField(L), field))
         self.field = field
-        self.root_order = L
+        self.roots = [field.one] + [field.zeta(p) for p in range(1, L)]
         base = list(iter_product(*(range(p) for p in self.powers)))
         self.potential_terms = {}
         for m, c in potential_terms.items():
@@ -300,19 +299,19 @@ class CrossProduct:
             raise NotInvariant("potential is not fixed by the action")
 
         self.group = action.elements()
+        self.fixed = {g: set(fixed_locus(action, g)) for g in self.group}
+        self.chars = {m: action.monomial_character(m) for m in base}
         self.elements = [(m, g) for m in base for g in self.group]
         self.index = {e: i for i, e in enumerate(self.elements)}
 
         mult = {}
         for i, (a, g) in enumerate(self.elements):
             for j, (b, h) in enumerate(self.elements):
-                scalar = self.monomial_phase_scalar(g, b)
                 prod = tuple(x + y for x, y in zip(a, b))
                 if any(e >= p for e, p in zip(prod, self.powers)):
                     continue
-                gh = action.char_add(g, h)
-                k = self.index[(prod, gh)]
-                mult[(i, j)] = {k: scalar}
+                k = self.index[(prod, action.char_add(g, h))]
+                mult[(i, j)] = {k: self.roots[action.power(g, self.chars[b])]}
         curvature = {}
         for m, c in self.potential_terms.items():
             curvature[self.index[(m, action.identity)]] = c
@@ -320,24 +319,13 @@ class CrossProduct:
         self.algebra = FiniteCurvedAlgebra(len(self.elements), mult, curvature,
                                            unit=unit, field=field, check=True)
 
-    def monomial_phase_scalar(self, g, mono):
-        """Scalar by which g acts on the base monomial."""
-        char = self.action.monomial_character(mono)
-        ph = self.action.phase(g, char)
-        if ph == 0:
-            return self.field.one
-        power = ph * self.root_order
-        if power.denominator != 1:
-            raise ValueError("phase incompatible with the root order")
-        return self.field.zeta(int(power))
-
     def sector_algebra(self, g):
         """Curved algebra of the fixed subspace of g, over the same field.
 
         Returns the algebra, its basis monomials and their index map.
         """
         from .hochschild import FiniteCurvedAlgebra
-        fv = set(fixed_locus(self.action, g))
+        fv = self.fixed[g]
         powers = [p if v in fv else 1 for v, p in enumerate(self.powers)]
         keep = list(iter_product(*(range(p) for p in powers)))
         idx = {m: i for i, m in enumerate(keep)}
@@ -360,124 +348,89 @@ def psi_map(cp, chain):
     ``chain`` is a tuple of cross-product basis indices.  Returns
     (g, scalar, base tensor) where g is the product of the group parts and
     the slots have been rotated by the prefix products; returns None when
-    the restriction to the fixed subspace kills the tensor.
+    the restriction to the fixed subspace kills the tensor.  The rotations
+    add up as powers of zeta_L, so one root is read at the end.
     """
     action = cp.action
     elems = [cp.elements[i] for i in chain]
     g_total = action.char_zero()
     for _m, g in elems:
         g_total = action.char_add(g_total, g)
-    fv = set(fixed_locus(action, g_total))
-    scalar = cp.field.one
+    fv = cp.fixed[g_total]
+    power = 0
     prefix = action.char_zero()
-    out = []
-    for pos, (m, g) in enumerate(elems):
-        if pos > 0:
-            scalar = scalar * cp.monomial_phase_scalar(prefix, m)
-        prefix = action.char_add(prefix, g)
+    for m, g in elems:
         if any(e and v not in fv for v, e in enumerate(m)):
             return None
-        out.append(m)
-    return g_total, scalar, tuple(out)
-
-
-def _sector_chain_layout(cp, max_tensor):
-    """Per-sector chain windows and a flat index for their direct sum."""
-    from .hochschild import ChainWindow
-    layout = {}
-    for g in cp.group:
-        alg, keep, idx = cp.sector_algebra(g)
-        win = ChainWindow(alg, max_tensor, normalized=False)
-        layout[g] = (alg, keep, idx, win)
-    offsets = {}
-    totals = {}
-    for k in range(max_tensor + 1):
-        off = 0
-        for g in cp.group:
-            offsets[(g, k)] = off
-            off += layout[g][3].dim(k)
-        totals[k] = off
-    return layout, offsets, totals
+        power += action.power(prefix, cp.chars[m])
+        prefix = action.char_add(prefix, g)
+    return (g_total, cp.roots[power % action.root_order],
+            tuple(m for m, _g in elems))
 
 
 def psi_matrices(cp, max_tensor):
-    """Matrices of the sector-restriction map on a chain window."""
+    """Per-sector blocks of the sector-restriction map on a chain window.
+
+    Returns the cross-product window, ``sectors[g]`` = (chain window, base
+    monomials, their index map) of each sector, and ``psi[g][k]``, the
+    block from tensor degree k of the cross product to that of sector g.
+    """
     from .hochschild import ChainWindow
     win = ChainWindow(cp.algebra, max_tensor, normalized=False)
-    layout, offsets, totals = _sector_chain_layout(cp, max_tensor)
-    mats = {}
+    sectors = {}
+    for g in cp.group:
+        alg, keep, idx = cp.sector_algebra(g)
+        sectors[g] = (ChainWindow(alg, max_tensor, normalized=False), keep, idx)
+    psi = {g: {} for g in cp.group}
     for k in range(max_tensor + 1):
-        ent = {}
+        ent = {g: {} for g in cp.group}
         for col, t in enumerate(win.bases[k]):
             image = psi_map(cp, t)
             if image is None:
                 continue
             g, scalar, monos = image
-            alg, keep, idx, swin = layout[g]
-            local = swin.index[k][tuple(idx[m] for m in monos)]
-            ent[(offsets[(g, k)] + local, col)] = scalar
-        mats[k] = Matrix(totals[k], win.dim(k), cp.field, ent)
-    return win, layout, offsets, totals, mats
+            swin, _keep, idx = sectors[g]
+            ent[g][(swin.index[k][tuple(idx[m] for m in monos)], col)] = scalar
+        for g, (swin, _keep, _idx) in sectors.items():
+            psi[g][k] = Matrix(swin.dim(k), win.dim(k), cp.field, ent[g])
+    return win, sectors, psi
 
 
-def _sector_block_boundaries(cp, layout, max_tensor):
-    """Both differentials of the direct sum of the sector chain windows."""
-    from .hochschild import ChainWindow, _total
-    wins = {g: layout[g][3] for g in cp.group}
-    dims = {(g, k): wins[g].dim(k) for g in cp.group
-            for k in range(max_tensor + 1)}
-
-    def block_diagonal(part, k, dk):
-        def block(s, t):
-            return part(wins[s[0]], k) if s[0] == t[0] else None
-        return _total([(g, k) for g in cp.group], [(g, dk) for g in cp.group],
-                      dims, block, cp.field)
-
-    bm = {k: block_diagonal(ChainWindow.boundary_minus, k, k - 1)
-          for k in range(1, max_tensor + 1)}
-    bp = {k: block_diagonal(ChainWindow.boundary_plus, k, k + 1)
-          for k in range(max_tensor)}
-    return bm, bp
-
-
-def _coinvariant_projector(cp, layout, offsets, totals, k):
-    """Averaging projector over the diagonal group action on sector chains."""
-    n = totals[k]
-    field = cp.field
-    inv_order = field.from_fraction(Fraction(1, cp.action.order))
-    ent = {}
-    for g in cp.group:
-        alg, keep, idx, swin = layout[g]
-        off = offsets[(g, k)]
-        for col, t in enumerate(swin.bases[k]):
-            for h in cp.group:
-                scalar = field.one
-                for slot in t:
-                    scalar = scalar * cp.monomial_phase_scalar(h, keep[slot])
-                # diagonal action fixes the tensor shape, only scales it
-                add_to(ent, (off + col, off + col), scalar * inv_order)
-    return Matrix(n, n, field, ent)
+def _rows(mat, keep):
+    """The rows of ``mat`` whose index lies in ``keep``; others are zero."""
+    return Matrix(mat.rows, mat.cols, mat.field,
+                  {(i, j): v for (i, j), v in mat.entries.items() if i in keep})
 
 
 def psi_chain_check(cp, max_tensor):
     """Exact commutation of the restriction map with both differentials.
 
-    The insertion part must commute on the nose; the multiplication part
-    after composing with the coinvariant projector.
+    The sector differential is block diagonal, so each sector is checked
+    on its own.  The insertion part must commute on the nose; the
+    multiplication part after averaging over the group.  Averaging scales
+    a tensor of total character c by (1/|G|) sum_h zeta^{power(h, c)},
+    which is 1 when c is trivial and 0 otherwise, so it keeps exactly the
+    rows of trivial character.
     """
     if max_tensor < 2:
         raise WindowTooSmall("need tensor degree at least 2")
-    win, layout, offsets, totals, psi = psi_matrices(cp, max_tensor)
-    bm_s, bp_s = _sector_block_boundaries(cp, layout, max_tensor)
-    bm_c = {k: win.boundary_minus(k) for k in range(1, max_tensor + 1)}
-    bp_c = {k: win.boundary_plus(k) for k in range(max_tensor)}
-    for k in range(max_tensor):
-        if psi[k + 1] @ bp_c[k] != bp_s[k] @ psi[k]:
-            return False
-    for k in range(1, max_tensor + 1):
-        proj = _coinvariant_projector(cp, layout, offsets, totals, k - 1)
-        left = proj @ (psi[k - 1] @ bm_c[k])
-        right = proj @ (bm_s[k] @ psi[k])
-        if left != right:
-            return False
+    action = cp.action
+    zero = action.char_zero()
+    win, sectors, psi = psi_matrices(cp, max_tensor)
+    bm_c, bp_c = win.all_boundaries()
+    for g, (swin, keep, _idx) in sectors.items():
+        bm_s, bp_s = swin.all_boundaries()
+        p = psi[g]
+        for k in range(max_tensor):
+            if p[k + 1] @ bp_c[k] != bp_s[k] @ p[k]:
+                return False
+        for k in range(1, max_tensor + 1):
+            # a tensor's character is that of the product of its slots
+            invariant = {r for r, t in enumerate(swin.bases[k - 1])
+                         if action.monomial_character(
+                             [sum(e) for e in zip(*(keep[i] for i in t))])
+                         == zero}
+            if (_rows(p[k - 1], invariant) @ bm_c[k]
+                    != _rows(bm_s[k], invariant) @ p[k]):
+                return False
     return True

@@ -30,6 +30,10 @@ from .linalg import QQ, add_to
 MAX_POWER_DEGREE = 100
 # Longest integer literal accepted: the default limit of int() on strings.
 MAX_LITERAL_DIGITS = 4300
+# Deepest nesting of parentheses and unary minus signs accepted; the
+# parser recurses once per level, so deeper input is refused before the
+# interpreter's recursion limit is reached.
+MAX_NESTING_DEPTH = 200
 
 
 class PolyRing:
@@ -298,6 +302,7 @@ def parse_polynomial(text, ring):
     """Parse an expression into a :class:`Polynomial` over ``ring``."""
     tokens = _tokenize(text)
     idx = [0]
+    depth = [0]
 
     def peek():
         return tokens[idx[0]][0]
@@ -359,16 +364,21 @@ def parse_polynomial(text, ring):
         tok = peek()
         if tok is None:
             raise ParseError("unexpected end of expression", pos())
-        if tok == "(":
+        if tok in ("(", "-"):
+            if depth[0] == MAX_NESTING_DEPTH:
+                raise ParseError("nesting deeper than %d"
+                                 % MAX_NESTING_DEPTH, pos())
+            depth[0] += 1
             advance()
-            inner = parse_expr()
-            if peek() != ")":
-                raise ParseError("expected ')'", pos())
-            advance()
+            if tok == "-":
+                inner = -parse_atom()
+            else:
+                inner = parse_expr()
+                if peek() != ")":
+                    raise ParseError("expected ')'", pos())
+                advance()
+            depth[0] -= 1
             return inner
-        if tok == "-":
-            advance()
-            return -parse_atom()
         if tok.isdigit():
             if len(tok) > MAX_LITERAL_DIGITS:
                 raise ParseError("integer literal longer than %d digits"

@@ -235,6 +235,20 @@ def test_mf_verify_exit_code(tmp_path, capsys):
     assert code == EXIT_MF_VERIFY
 
 
+@pytest.mark.parametrize("text", [
+    "P0 x, y; -y, x\nP1 x, -y; y, x\n",
+    "P0 x, 0; 0, y\nP1 x, 0; 0, x\n",
+], ids=["factors-another-potential", "square-not-scalar"])
+def test_mf_ext_verifies_the_factorization(tmp_path, capsys, text):
+    # the first pair factors x^2 + y^2; the second has D^2 = diag(x^2, xy)
+    model = write(tmp_path, "q.lg", "variables x y\npotential x^3+y^3\n")
+    fact = write(tmp_path, "q.mf", text)
+    code, out, err = run(capsys, ["mf", model, fact, "ext",
+                                  "--format", "machine"])
+    assert code == EXIT_MF_VERIFY and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 def test_stabilization_exit_code(tmp_path, capsys):
     model = write(tmp_path, "x3.lg", X3)
     fact = write(tmp_path, "x3.mf", MF_X3)
@@ -333,6 +347,16 @@ def test_exponent_bomb_is_refused_at_parse_time(tmp_path, capsys, potential):
     code, _, err = run(capsys, ["jacobi", path])
     assert time.perf_counter() - start < 0.5
     assert code == EXIT_PARSE
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("potential", [
+    "(" * 600 + "x^3" + ")" * 600, "-" * 2000 + "x^3",
+], ids=["600-parentheses", "2000-minus-signs"])
+def test_deep_nesting_is_refused_at_parse_time(tmp_path, capsys, potential):
+    path = write(tmp_path, "deep.lg", "variables x\npotential %s\n" % potential)
+    code, out, err = run(capsys, ["jacobi", path, "--format", "machine"])
+    assert code == EXIT_PARSE and out == ""
     assert "error" in err and "Traceback" not in err
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_model
-from lghomology.errors import (DegreeConstraintViolated, MethodUnsupported,
-                               ModelMismatch, ParityViolation, ShapeMismatch)
+from lghomology.errors import (DegreeConstraintViolated, FactorizationInvalid,
+                               MethodUnsupported, ModelMismatch,
+                               ParityViolation, ShapeMismatch)
 import lghomology.mf as mf_module
 from lghomology.jacobi import INFINITE
 from lghomology.mf import (MatrixFactorization, PolyMatrix, TwistObject,
@@ -100,6 +101,18 @@ def test_hom_complex_rejects_mixed_models():
     _, b = uni_mf(2, 1)
     with pytest.raises(ModelMismatch):
         hom_complex(a, b)
+
+
+def test_hom_complex_rejects_invalid_factorization():
+    # D^2 = diag(x^2, xy) is not W times the identity, so d^2 != 0
+    model = make_model("x^3+y^3", "xy")
+    ring = model.ring
+    z = ring.zero()
+    bad = MatrixFactorization(
+        model, PolyMatrix(ring, [[P("x", ring), z], [z, P("y", ring)]]),
+        PolyMatrix(ring, [[P("x", ring), z], [z, P("x", ring)]]))
+    with pytest.raises(FactorizationInvalid):
+        hom_complex(bad, bad)
 
 
 def test_ext_univariate_cubic():

@@ -8,7 +8,7 @@ from conftest import make_model
 from lghomology import orbifold
 from lghomology.errors import (BadCharacteristic, NonIsolatedSector,
                                NotInvariant, WindowTooSmall)
-from lghomology.linalg import PrimeField, QQ
+from lghomology.linalg import CyclotomicField, PrimeField, QQ
 from lghomology.orbifold import (GroupAction, coinvariant_dims, cross_product,
                                  fixed_locus, orbifold_hh_bm, psi_chain_check,
                                  psi_map, restrict_potential, sector_hh_bm)
@@ -53,6 +53,27 @@ def test_fixed_locus():
     assert fixed_locus(action, (0,)) == (0, 1, 2, 3)
     for g in ((1,), (2,), (3,)):
         assert fixed_locus(action, g) == ()
+
+
+def test_character_orthogonality():
+    # averaging zeta^(jc) over Z/d keeps exactly the trivial characters
+    for d in range(2, 9):
+        field = CyclotomicField(d)
+        for c in range(-d, 2 * d + 1):
+            total = field.zero
+            for j in range(d):
+                total = total + field.zeta(j * c)
+            assert total == field.from_int(d if c % d == 0 else 0)
+
+
+def test_power_on_a_product_of_cyclic_groups():
+    # L = lcm(2, 3) = 6 differs from both orders
+    action = GroupAction((2, 3), ((1, 1), (0, 2)))
+    assert action.root_order == 6
+    assert action.power((1, 0), (1, 1)) == 3
+    assert action.power((0, 1), (1, 1)) == 2
+    assert action.power((1, 2), (1, 1)) == 1
+    assert action.power((1, 2), (0, 2)) == 2
 
 
 def test_invariance():
@@ -208,6 +229,10 @@ def test_cross_product_field_coefficients():
     with pytest.raises(TypeError):
         cross_product(GroupAction.cyclic(2, (1,)), (3,),
                       {(2,): gf7.from_int(3)})
+    # a nontrivial group needs its own roots of unity, not another field's
+    for field in (gf7, CyclotomicField(3), CyclotomicField(4)):
+        with pytest.raises(TypeError):
+            cross_product(GroupAction.cyclic(2, (1,)), (3,), {}, field=field)
 
 
 def test_psi_map_examples():
@@ -253,6 +278,18 @@ def test_psi_chain_commutation_order_four():
     assert psi_chain_check(cp, 3)
 
 
+def test_psi_chain_commutation_product_group():
+    # L = 6 differs from both orders
+    action = GroupAction((2, 3), ((1, 1), (0, 2)))
+    assert fixed_locus(action, (0, 0)) == (0, 1)
+    assert fixed_locus(action, (1, 0)) == (1,)
+    for g in ((0, 1), (0, 2), (1, 1), (1, 2)):
+        assert fixed_locus(action, g) == ()
+    cp = cross_product(action, (2, 2), {})
+    assert cp.field == CyclotomicField(6)
+    assert psi_chain_check(cp, 2)
+
+
 def test_psi_chain_trivial_group():
     action = GroupAction.cyclic(1, (0,))
     cp = cross_product(action, (2,), {(1,): 1})
@@ -265,8 +302,9 @@ def test_psi_chain_corruption_detected(monkeypatch):
     clean = orbifold.psi_matrices
 
     def corrupted(cp, max_tensor):
-        *rest, mats = clean(cp, max_tensor)
-        return (*rest, {k: m if k == 0 else -m for k, m in mats.items()})
+        *rest, blocks = clean(cp, max_tensor)
+        return (*rest, {g: {k: m if k == 0 else -m for k, m in mats.items()}
+                        for g, mats in blocks.items()})
 
     monkeypatch.setattr(orbifold, "psi_matrices", corrupted)
     action = GroupAction.cyclic(2, (1,))

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from lghomology.errors import NotZeroDimensional, ParseError, UnknownVariable
 from lghomology.jacobi import LGModel, expected_weighted_milnor
 from lghomology.linalg import PrimeField, QQ
-from lghomology.poly import (MAX_LITERAL_DIGITS, MAX_POWER_DEGREE,
-                             DimensionSeries, PolyRing, Polynomial,
+from lghomology.poly import (MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH,
+                             MAX_POWER_DEGREE, DimensionSeries, PolyRing, Polynomial,
                              buchberger, format_polynomial,
                              graded_quotient_dims, is_zero_dimensional,
                              normal_form, parse_polynomial,
@@ -56,6 +56,20 @@ def test_parse_refuses_literals_above_the_digit_limit():
     assert top.leading_coeff() == 10 ** MAX_LITERAL_DIGITS - 1
     with pytest.raises(ParseError):
         parse_polynomial("9" * (MAX_LITERAL_DIGITS + 1) + "*x", ring)
+
+
+def test_parse_refuses_nesting_above_the_depth_limit():
+    ring = PolyRing(("x",))
+    top = MAX_NESTING_DEPTH
+    cube = parse_polynomial("x^3", ring)
+    assert parse_polynomial("(" * top + "x^3" + ")" * top, ring) == cube
+    # a leading minus belongs to the sum, the ones after it nest
+    assert parse_polynomial("-" * (top + 1) + "x^3", ring) == -cube
+    for src in ("(" * (top + 1) + "x^3" + ")" * (top + 1),
+                "-" * (top + 2) + "x^3",
+                "(" * 600 + "x^3" + ")" * 600, "-" * 2000 + "x^3"):
+        with pytest.raises(ParseError):
+            parse_polynomial(src, ring)
 
 
 def test_double_star_exponent():
