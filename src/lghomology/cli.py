@@ -70,6 +70,8 @@ class ModelFile:
             raise ParseError("model file declares no potential")
         ring = PolyRing(self.names, self.weights, field=self.field)
         potential = parse_polynomial(self.potential_src, ring)
+        if potential.degree() < 1:
+            raise ParseError("potential must be nonconstant")
         if self.group is not None and len(self.group.weights) != ring.nvars:
             raise ParseError("group line needs one weight per variable")
         if self.carrier is not None:

@@ -499,27 +499,29 @@ def hh_ordinary(algebra, max_tensor=10):
 
     Each differential serves two spots, as d_out of (parity, cap) and as
     d_in of (1 - parity, cap + 1); it is assembled at its first use, kept
-    in ``shared`` and dropped at its second.
+    in ``shared`` and dropped at its second.  Its chain window reaches
+    tensor degree cap + 1 and no further, so nothing past the cap that
+    settles is built.
     """
     if not algebra.curvature:
         raise ValueError("curvature element is zero; use a flat computation")
-    win = ChainWindow(algebra, max_tensor)
-    dims = [win.dim(k) for k in range(max_tensor + 1)]
     shared = {}
-
-    def block(k, t):
-        if t == k - 1:
-            return win.boundary_minus(k)
-        if t == k + 1:
-            return win.boundary_plus(k)
-        return None
 
     def differential(parity, cap):
         mat = shared.pop((parity, cap), None)
         if mat is None:
+            win = ChainWindow(algebra, cap + 1)
+
+            def block(k, t):
+                if t == k - 1:
+                    return win.boundary_minus(k)
+                if t == k + 1:
+                    return win.boundary_plus(k)
+                return None
+
             mat = shared[(parity, cap)] = _total(
                 range(parity, cap + 1, 2), range(1 - parity, cap + 2, 2),
-                dims, block, algebra.field)
+                [win.dim(k) for k in range(cap + 2)], block, algebra.field)
         return mat
 
     out = {}
@@ -612,14 +614,13 @@ def _bm_differential(model, n, q):
     return _total(src, dst, dims, block, ring.field)
 
 
-def bm_spot_homology(model, n, q, ranks=None, shared=None):
+def bm_spot_homology(model, n, q, shared=None):
     """Homology dimension of the first-quadrant total complex at (n, charge q).
 
-    ``ranks``, if given, maps (n, q) to the rank of that differential; it
-    is read and filled so that no differential is ranked twice.
     ``shared``, if given, maps (n, q) to a differential built by another
     spot: a spot whose n has the parity of the variable count leaves its
-    d_in there, and the spot at n + 1 pops it as its d_out.
+    d_in there, and the spot at n + 1 pops it as its d_out, so the one
+    matrix is assembled and ranked once.
     """
     d_out = None if shared is None else shared.pop((n, q), None)
     if d_out is None:
@@ -627,7 +628,7 @@ def bm_spot_homology(model, n, q, ranks=None, shared=None):
     d_in = _bm_differential(model, n + 1, q)
     if shared is not None and (n - model.ring.nvars) % 2 == 0:
         shared[(n + 1, q)] = d_in
-    return homology_dim(d_in, d_out, ranks, ((n + 1, q), (n, q)))
+    return homology_dim(d_in, d_out)
 
 
 def hh_bm_graded(model, internal_degrees, max_r=5):
@@ -647,12 +648,12 @@ def hh_bm_graded(model, internal_degrees, max_r=5):
     stab = {}
     for e in internal_degrees:
         # Both parities at shift r use the differential at (n0+2r+1, q), the
-        # first as d_in, the second as d_out: it is assembled once, kept in
-        # ``shared`` between the two uses, and ranked once (``ranks``).
-        ranks, shared = {}, {}
+        # first as d_in, the second as d_out: it is assembled once and kept
+        # in ``shared`` between the two uses.
+        shared = {}
         for parity_offset in (0, 1):
             shifts = ((r, bm_spot_homology(model, n0 + parity_offset + 2 * r,
-                                           e + r * d, ranks, shared))
+                                           e + r * d, shared))
                       for r in range(max_r + 1))
             settled, stab[(e, parity_offset)] = settle(
                 shifts, "degree %d (parity offset %d) did not settle in %d "

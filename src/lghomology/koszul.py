@@ -15,6 +15,9 @@ from itertools import combinations
 from math import factorial
 
 from .errors import CharacteristicTooSmall
+from .hochschild import (poly_boundary_minus, poly_boundary_plus,
+                         poly_chain_basis)
+from .jacobi import jacobi_data, socle_degree
 from .linalg import Matrix, add_to, homology_dim, rank
 from .poly import mono_mul
 
@@ -61,62 +64,46 @@ def _mono_partial(mono, i):
     return mono[i], lowered
 
 
-def _dW_components(model):
-    """Sparse list of (variable index, monomial, coefficient) of the gradient."""
-    out = []
-    for i in range(model.ring.nvars):
-        p = model.potential.diff(i)
-        for m, c in p.terms.items():
-            out.append((i, m, c))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The two Koszul-type differentials
+
+
+def _dW_map(model, src, dst, wedge):
+    """Matrix of one Koszul rule of dW from the ``src`` to the ``dst`` basis.
+
+    Each term dx_i of dW moves index i into the index tuple (``wedge``) or
+    out of it (contraction), times the partial of W in x_i, with the sign
+    (-1)^(position of i in the larger tuple).
+    """
+    field = model.ring.field
+    partials = [model.potential.diff(i).terms for i in range(model.ring.nvars)]
+    index = {e: n for n, e in enumerate(dst)}
+    out = {}
+    for col, (m, idx) in enumerate(src):
+        for i, partial in enumerate(partials):
+            if (i in idx) == wedge:
+                continue
+            big = tuple(sorted(idx + (i,))) if wedge else idx
+            pos = big.index(i)
+            new_idx = big if wedge else idx[:pos] + idx[pos + 1:]
+            for wm, wc in partial.items():
+                row = index[(mono_mul(m, wm), new_idx)]
+                add_to(out, (row, col), -wc if pos % 2 else wc)
+    return Matrix(len(dst), len(src), field, out)
 
 
 def wedge_dW(model, k, grade):
     """Matrix of dW wedge -, from k-forms of the grade to (k+1)-forms."""
     ring = model.ring
-    field = ring.field
-    src = form_basis(ring, k, grade)
-    dst = form_basis(ring, k + 1, grade + model.degree)
-    index = {e: n for n, e in enumerate(dst)}
-    comps = _dW_components(model)
-    out = {}
-    for col, (m, idx) in enumerate(src):
-        for i, wm, wc in comps:
-            if i in idx:
-                continue
-            pos = sum(1 for j in idx if j < i)
-            sign = field.one if pos % 2 == 0 else field.from_int(-1)
-            new_idx = tuple(sorted(idx + (i,)))
-            row = index[(mono_mul(m, wm), new_idx)]
-            add_to(out, (row, col), sign * wc)
-    return Matrix(len(dst), len(src), field, out)
+    return _dW_map(model, form_basis(ring, k, grade),
+                   form_basis(ring, k + 1, grade + model.degree), True)
 
 
 def contract_dW(model, k, grade):
     """Matrix of contraction against dW, k-vectors to (k-1)-vectors."""
     ring = model.ring
-    field = ring.field
-    src = polyvector_basis(ring, k, grade)
-    if k == 0:
-        return Matrix(0, len(src), field)
-    dst = polyvector_basis(ring, k - 1, grade + model.degree)
-    index = {e: n for n, e in enumerate(dst)}
-    partials = {}
-    for i in range(ring.nvars):
-        partials[i] = model.potential.diff(i).terms
-    out = {}
-    for col, (m, idx) in enumerate(src):
-        for pos, i in enumerate(idx):
-            sign = field.one if pos % 2 == 0 else field.from_int(-1)
-            new_idx = idx[:pos] + idx[pos + 1:]
-            for wm, wc in partials[i].items():
-                row = index[(mono_mul(m, wm), new_idx)]
-                add_to(out, (row, col), sign * wc)
-    return Matrix(len(dst), len(src), field, out)
+    dst = polyvector_basis(ring, k - 1, grade + model.degree) if k else ()
+    return _dW_map(model, polyvector_basis(ring, k, grade), dst, False)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +141,6 @@ def koszul_homology_dims(model, max_grade):
 
 def koszul_concentrated(model):
     """True when homology sits only at spot zero, matching the quotient ring."""
-    from .jacobi import socle_degree
     max_grade = socle_degree(model) + model.degree
     dims = koszul_homology_dims(model, max_grade)
     return dims_concentrated(model, dims, max_grade)
@@ -164,7 +150,6 @@ def dims_concentrated(model, dims, max_grade):
     """True when Koszul homology ``dims`` up to ``max_grade`` (as returned by
     :func:`koszul_homology_dims`) sit only at spot zero and equal the
     quotient ring's graded dims there."""
-    from .jacobi import jacobi_data
     if any(k != 0 for k in dims):
         return False
     expected = {g: n for g, n in jacobi_data(model).dims.dims.items()
@@ -177,7 +162,7 @@ def dims_concentrated(model, dims, max_grade):
 
 
 def _check_characteristic(field, k):
-    char = getattr(field, "characteristic", 0)
+    char = field.characteristic
     if char and char <= k:
         raise CharacteristicTooSmall(
             "splitting a degree-%d chain needs invertible %d!" % (k, k))
@@ -188,7 +173,6 @@ def hkr_split(model, k, grade):
 
     Sends m_0|m_1|..|m_k to (1/k!) m_0 dm_1 ^ .. ^ dm_k.
     """
-    from .hochschild import poly_chain_basis
     ring = model.ring
     field = ring.field
     _check_characteristic(field, k)
@@ -212,23 +196,16 @@ def hkr_split(model, k, grade):
                                       coeff * field.from_int(e)))
             stack = new_stack
         for mono, chosen, coeff in stack:
-            perm = list(chosen)
-            # sign of the permutation sorting the chosen indices
-            sign = 1
-            for a in range(len(perm)):
-                for b in range(a + 1, len(perm)):
-                    if perm[a] > perm[b]:
-                        sign = -sign
-            idx = tuple(sorted(chosen))
-            row = index[(mono, idx)]
+            # sorting the chosen indices: the parity of their inversions
+            odd = sum(a > b for a, b in combinations(chosen, 2)) % 2
+            row = index[(mono, tuple(sorted(chosen)))]
             val = coeff * inv_fact
-            add_to(out, (row, col), -val if sign < 0 else val)
+            add_to(out, (row, col), -val if odd else val)
     return Matrix(len(dst), len(src), field, out)
 
 
 def split_insertion_identity(model, k, grade):
     """Check: splitting after curvature insertion equals wedging with dW."""
-    from .hochschild import poly_boundary_plus
     left = hkr_split(model, k + 1, grade + model.degree) @ \
         poly_boundary_plus(model, k, grade)
     right = wedge_dW(model, k, grade) @ hkr_split(model, k, grade)
@@ -237,7 +214,6 @@ def split_insertion_identity(model, k, grade):
 
 def form_comparison(model, k, grade):
     """(multiplication-homology dim, k-form dim) on one graded window."""
-    from .hochschild import poly_boundary_minus, poly_chain_basis
     ring = model.ring
     d_out = poly_boundary_minus(ring, k, grade) if k >= 1 else \
         Matrix(0, len(poly_chain_basis(ring, 0, grade)), ring.field)

@@ -341,15 +341,16 @@ class Matrix:
     """Immutable sparse matrix over an exact field.
 
     Entries are stored in a map (row, col) -> scalar holding only nonzero
-    values.
+    values.  ``_rank`` is the rank once :func:`rank` has computed it.
     """
 
-    __slots__ = ("rows", "cols", "field", "entries")
+    __slots__ = ("rows", "cols", "field", "entries", "_rank")
 
     def __init__(self, rows, cols, field, entries=None):
         self.rows = rows
         self.cols = cols
         self.field = field
+        self._rank = None
         ent = {}
         if entries:
             for (i, j), v in entries.items():
@@ -631,24 +632,23 @@ def _composes_to_zero(rows_out, rows_in, p):
 
 
 def rank(m, rows=None):
-    """Rank of ``m`` over its scalar field.
+    """Rank of ``m`` over its scalar field, eliminated once per matrix.
 
     ``rows`` is ``m`` already in elimination form, from a caller that
-    converted it for another use; elimination consumes it.
+    converted it for another use; elimination consumes it.  The rank is
+    kept on ``m``, so ranking a matrix again eliminates nothing.
     """
-    kind = _row_kind(m.field)
-    if rows is None:
-        rows = kind.rows(m)
-    return _eliminate(rows, kind)
+    if m._rank is None:
+        kind = _row_kind(m.field)
+        m._rank = _eliminate(kind.rows(m) if rows is None else rows, kind)
+    return m._rank
 
 
-def homology_dim(d_in, d_out, ranks=None, keys=None):
+def homology_dim(d_in, d_out):
     """dim ker(d_out) - rank(d_in) for a composable pair with d_out.d_in = 0.
 
-    A caller that meets one map in several pairs passes a ``ranks`` dict
-    and the pair's ``keys`` (key of d_in, key of d_out): a rank found
-    under its key is not computed again, and a computed one is stored.
-    The composition is checked in every call.
+    The composition is checked in every call, also when both ranks are
+    already known.
     """
     if d_in.rows != d_out.cols:
         raise ShapeMismatch(
@@ -658,11 +658,4 @@ def homology_dim(d_in, d_out, ranks=None, keys=None):
     rows_in, rows_out = kind.rows(d_in), kind.rows(d_out)
     if not _composes_to_zero(rows_out, rows_in, d_out.field.characteristic):
         raise CompositionNonzero("d_out . d_in != 0")
-    if ranks is None:
-        ranks, keys = {}, ("in", "out")
-    key_in, key_out = keys
-    if key_out not in ranks:
-        ranks[key_out] = rank(d_out, rows_out)
-    if key_in not in ranks:
-        ranks[key_in] = rank(d_in, rows_in)
-    return (d_out.cols - ranks[key_out]) - ranks[key_in]
+    return (d_out.cols - rank(d_out, rows_out)) - rank(d_in, rows_in)

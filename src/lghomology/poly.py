@@ -28,6 +28,11 @@ from .linalg import QQ, add_to
 # (e times the degree of the base, a constant counting as degree 1).
 # Larger powers are refused before any multiplication.
 MAX_POWER_DEGREE = 100
+# Most term products a parse may spend expanding: every '*' and every step
+# of a power multiplies a t-term by an s-term polynomial and costs t * s.
+# A parse that would go past this is refused before the multiplication
+# that crosses it, which bounds its time; (x+y+z)^99 would cost 499,950.
+MAX_PRODUCT_WORK = 10000
 # Longest integer literal accepted: the default limit of int() on strings.
 MAX_LITERAL_DIGITS = 4300
 # Deepest nesting of parentheses and unary minus signs accepted; the
@@ -207,12 +212,6 @@ class Polynomial:
     def scale(self, c):
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
-    def __pow__(self, n):
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def diff(self, i):
         terms = {}
         for m, c in self.terms.items():
@@ -303,6 +302,7 @@ def parse_polynomial(text, ring):
     tokens = _tokenize(text)
     idx = [0]
     depth = [0]
+    work = [0]
 
     def peek():
         return tokens[idx[0]][0]
@@ -312,6 +312,13 @@ def parse_polynomial(text, ring):
 
     def advance():
         idx[0] += 1
+
+    def multiply(a, b):
+        work[0] += len(a.terms) * len(b.terms)
+        if work[0] > MAX_PRODUCT_WORK:
+            raise ParseError("expanding products needs more than %d term "
+                             "products" % MAX_PRODUCT_WORK, pos())
+        return a * b
 
     def parse_expr():
         sign = 1
@@ -336,7 +343,7 @@ def parse_polynomial(text, ring):
             advance()
             nxt = parse_factor()
             if op == "*":
-                acc = acc * nxt
+                acc = multiply(acc, nxt)
             else:
                 if len(nxt.terms) != 1 or nxt.leading_monomial() != ring.zero_mono():
                     raise ParseError("can only divide by a nonzero constant", pos())
@@ -357,7 +364,10 @@ def parse_polynomial(text, ring):
                 raise ParseError("power of degree above %d"
                                  % MAX_POWER_DEGREE, pos())
             advance()
-            base = base ** int(digits)
+            power = ring.one()
+            for _ in range(int(digits)):
+                power = multiply(power, base)
+            return power
         return base
 
     def parse_atom():

@@ -296,6 +296,8 @@ group order 2 weights 0 1
     (["orbifold"], "variables x\npotential x^3\ngroup order 3 weights a\n"),
     (["hh", "--variant", "ordinary"],
      "variables x\npotential x^2\ncarrier truncated a\n"),
+    (["jacobi"], "variables x\npotential 3\n"),
+    (["jacobi"], "variables x\npotential 0\n"),
     (["jacobi"], None),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
@@ -303,7 +305,8 @@ group order 2 weights 0 1
         "group-weights-short", "group-weights-long", "repeated-variable",
         "window-maxr-negative", "window-maxr-0", "weight-not-integer",
         "empty-variables", "group-weights-not-integers",
-        "carrier-power-not-integer", "missing-file"])
+        "carrier-power-not-integer", "constant-potential", "zero-potential",
+        "missing-file"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     # no text means the model path does not exist
     path = write(tmp_path, "bad.lg", text) if text is not None else \
@@ -339,10 +342,12 @@ def test_window_below_one_is_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("potential", [
     "x^1000000000", "(x^2+1)^%d" % (MAX_POWER_DEGREE // 2 + 1),
-    "2^" + "9" * 5000,
-], ids=["huge-exponent", "degree-above-limit", "5000-digit-exponent"])
+    "2^" + "9" * 5000, "(x+y+z)^99", "(x+y+z)^40*(x+y+z)^40",
+], ids=["huge-exponent", "degree-above-limit", "5000-digit-exponent",
+        "wide-power", "product-of-wide-powers"])
 def test_exponent_bomb_is_refused_at_parse_time(tmp_path, capsys, potential):
-    path = write(tmp_path, "bomb.lg", "variables x\npotential %s\n" % potential)
+    path = write(tmp_path, "bomb.lg",
+                 "variables x y z\npotential %s\n" % potential)
     start = time.perf_counter()
     code, _, err = run(capsys, ["jacobi", path])
     assert time.perf_counter() - start < 0.5

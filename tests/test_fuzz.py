@@ -6,11 +6,11 @@ from lghomology.cli import parse_mf_file
 from lghomology.errors import LGError
 from lghomology.poly import PolyRing, parse_polynomial
 
-# Two variables keep the largest power the degree bound admits, such as
-# (x+y)^99, cheap to expand; "z" and "q" are unknown names.
-RING = PolyRing(("x", "y"))
+# The product budget keeps every power cheap to expand, (x+y+z)^99
+# included; "w" and "q" are unknown names.
+RING = PolyRing(("x", "y", "z"))
 
-TOKENS = ["x", "y", "z", "q", "0", "1", "7", "12", "99999", "1/2", "x^2",
+TOKENS = ["x", "y", "z", "w", "q", "0", "1", "7", "12", "99999", "1/2", "x^2",
           "+", "-", "*", "/", "^", "**", "(", ")", " ", ".", "$"]
 
 runs = st.lists(st.tuples(st.sampled_from(TOKENS),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_model
+from conftest import make_model, record_eliminations
 from lghomology.errors import (BadFunctional, InfiniteCarrier,
                                PositiveDegreeCarrier, WindowTooSmall)
 from lghomology.hochschild import (ChainWindow, CochainWindow,
@@ -275,6 +275,29 @@ def test_ordinary_assembles_each_differential_once(monkeypatch):
     assert len(assembled) == len(set(assembled))
 
 
+def test_ordinary_eliminates_each_differential_once(monkeypatch):
+    eliminated = record_eliminations(monkeypatch)
+    rep = hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+    assert rep.dims == {0: 0, 1: 0}
+    # differential(0, 2) is d_out at (0, 2) and d_in at (1, 3)
+    assert len(eliminated) == len(set(map(id, eliminated)))
+
+
+def test_ordinary_windows_stop_one_past_the_settled_cap(monkeypatch):
+    tops = []
+    real_init = ChainWindow.__init__
+
+    def recorded(win, algebra, max_tensor, *rest):
+        tops.append(max_tensor)
+        real_init(win, algebra, max_tensor, *rest)
+    monkeypatch.setattr(ChainWindow, "__init__", recorded)
+    for alg in (trunc(4, {2: 3}),
+                FiniteCurvedAlgebra.truncated((2, 2), {(1, 1): 1}, QQ)):
+        tops.clear()
+        rep = hh_ordinary(alg, max_tensor=8)
+        assert tops and max(tops) <= max(rep.stabilization.values()) + 1
+
+
 def test_ordinary_rejects_flat_algebra():
     alg = FiniteCurvedAlgebra.truncated_polynomial(2, {})
     with pytest.raises(ValueError):
@@ -325,31 +348,26 @@ def test_bm_spot_homology_direct():
 
 def test_bm_ranks_each_differential_once(monkeypatch):
     import lghomology.hochschild as hochschild
-    import lghomology.linalg as linalg
 
-    built = {}      # id(matrix) -> (n, q); the matrices are kept alive
-    real_diff, real_rank = hochschild._bm_differential, linalg.rank
+    built = {}      # id(matrix) -> (matrix, (n, q)); the matrices are kept alive
+    real_diff = hochschild._bm_differential
 
     def differential(model, n, q):
         m = real_diff(model, n, q)
         built[id(m)] = (m, (n, q))
         return m
 
-    ranked = []
-
-    def counting_rank(m, *rest):
-        ranked.append(built[id(m)][1])
-        return real_rank(m, *rest)
-
     monkeypatch.setattr(hochschild, "_bm_differential", differential)
-    monkeypatch.setattr(linalg, "rank", counting_rank)
+    eliminated = record_eliminations(monkeypatch)
     model = make_model("x^3+y^3", "xy")
     rep = hh_bm_graded(model, [2, 3, 4], max_r=5)
     assert rep.dims == {(2, 0): 1, (3, 0): 2, (4, 0): 1,
                         (2, 1): 0, (3, 1): 0, (4, 1): 0}
     # both parities at shift r use the differential at (2 + 2r + 1, q)
-    assert (3, 3) in ranked and (5, 6) in ranked
-    assert len(ranked) == len(set(ranked))
+    spots = [built[id(m)][1] for m in eliminated]
+    assert (3, 3) in spots and (5, 6) in spots
+    # every assembled differential is eliminated, and none twice
+    assert sorted(map(id, eliminated)) == sorted(built)
 
 
 def test_bm_assembles_each_differential_once(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_model
+from conftest import make_model, record_eliminations
 from lghomology.errors import CharacteristicTooSmall
 from lghomology.jacobi import canonical_module, jacobi_data
 from lghomology.koszul import (contract_dW, e2_page, form_basis,
@@ -69,6 +69,15 @@ def test_homology_builds_each_contraction_once(monkeypatch):
     # contract_dW(1, 0) is d_in at spot (0, 3) and d_out at spot (1, 0)
     assert (1, 0) in built
     assert len(built) == len(set(built))
+
+
+def test_homology_eliminates_each_contraction_once(monkeypatch):
+    eliminated = record_eliminations(monkeypatch)
+    model = make_model("x^3+y^3+z^3", "xyz")
+    dims = koszul_homology_dims(model, 6)
+    assert dims[0] == dict(jacobi_data(model).dims.dims)
+    # contract_dW(1, 0) is d_in at spot (0, 3) and d_out at spot (1, 0)
+    assert len(eliminated) == len(set(map(id, eliminated)))
 
 
 def test_homology_builds_each_polyvector_basis_once(monkeypatch):

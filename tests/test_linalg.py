@@ -217,21 +217,24 @@ def test_homology_composition_check_with_fractions():
                      Matrix.from_rows([[1, 1]], PrimeField(7)))
 
 
-def test_homology_dim_reuses_memoized_ranks(monkeypatch):
+def test_rank_is_memoized_on_the_matrix(monkeypatch):
     import lghomology.linalg as linalg
 
+    runs = []
+    real_eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda rows, kind: runs.append(rows) or
+                        real_eliminate(rows, kind))
     d_in = Matrix.from_rows([[1], [-1]], QQ)
     d_out = Matrix.from_rows([[1, 1]], QQ)
-    calls = []
-    real_rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank",
-                        lambda m, *rest: calls.append(m) or real_rank(m, *rest))
-    ranks = {"out": 1}
-    assert homology_dim(d_in, d_out, ranks, ("in", "out")) == 0
-    assert calls == [d_in] and ranks == {"out": 1, "in": 1}
+    assert rank(d_out) == rank(d_out) == 1 and len(runs) == 1
+    assert homology_dim(d_in, d_out) == 0 and len(runs) == 2
+    bad = Matrix.from_rows([[1], [1]], QQ)
+    assert rank(bad) == 1 and len(runs) == 3
+    # both ranks are known, and the composition is still checked
     with pytest.raises(CompositionNonzero):
-        homology_dim(Matrix.from_rows([[1], [1]], QQ), d_out, ranks,
-                     ("in", "out"))
+        homology_dim(bad, d_out)
+    assert len(runs) == 3
 
 
 # ---------------------------------------------------------------------------
