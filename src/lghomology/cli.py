@@ -10,6 +10,9 @@ its arguments; ``#`` starts a comment.  Recognized keywords:
     carrier truncated p1 ... pn           (optional finite carrier)
     window tensor=N maxr=R degrees=d1,d2  (optional truncation data)
 
+Borel-Moore homology is exact at one shift, so ``maxr`` is accepted, checked
+to be at least 1, and otherwise ignored.
+
 Factorization files use ``P0`` / ``P1`` lines with rows separated by ``;``
 and entries by ``,``, plus optional ``twists0`` / ``twists1`` integer lists.
 
@@ -175,9 +178,9 @@ def parse_model_file(text):
                                          "(line %d)"
                                          % (MIN_TENSOR_WINDOW, lineno))
                 elif name == "maxr":
-                    # a value is accepted when two consecutive shifts agree
-                    mf.window["maxr"] = _window_int(name, val, lineno)
-                    if mf.window["maxr"] < 1:
+                    # validated as before, so the same files load, then
+                    # ignored: BM homology is exact at one shift
+                    if _window_int(name, val, lineno) < 1:
                         raise ParseError("window maxr must be at least 1 "
                                          "(line %d)" % lineno)
                 elif name == "degrees":
@@ -354,8 +357,7 @@ def cmd_hh(args):
         if degrees is None:
             can = canonical_module(model)
             degrees = sorted(can.dims.dims)
-        maxr = mf.window.get("maxr", 5)
-        rep = hh_bm_graded(model, degrees, max_r=maxr)
+        rep = hh_bm_graded(model, degrees)
         by_parity = {0: 0, 1: 0}
         per_degree = {}
         for (deg, parity), dim in rep.dims.items():

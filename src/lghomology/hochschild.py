@@ -3,9 +3,12 @@
 Chains are normalized by default: slots after the zeroth are drawn from a
 complement of the unit.  The boundary splits as a tensor-degree-lowering
 part (multiplications, with the wrap-around term) and a raising part
-(insertions of the curvature element).  Homology is computed on finite
-windows of the associated bicomplex and accepted once two consecutive
-windows agree, a heuristic applied by ``linalg.settle``.
+(insertions of the curvature element).  Ordinary homology is computed on
+finite windows of the associated bicomplex and accepted once two
+consecutive windows agree, a heuristic applied by ``linalg.settle``.
+Borel-Moore homology is read at one shift of the first-quadrant complex,
+which is exact by the Hochschild-Kostant-Rosenberg argument in
+``hh_bm_graded``; nothing settles it.
 
 Every chain boundary matrix -- finite algebras, pure-curvature spaces,
 cross products and the graded polynomial ring -- is built by the bar-complex
@@ -631,35 +634,40 @@ def bm_spot_homology(model, n, q, shared=None):
     return homology_dim(d_in, d_out)
 
 
-def hh_bm_graded(model, internal_degrees, max_r=5):
-    """Borel-Moore dimensions per internal degree, stabilized over shifts.
+def hh_bm_graded(model, internal_degrees):
+    """Borel-Moore dimensions per internal degree, read at one shift.
 
-    For each requested degree the value is read off the tower of
-    first-quadrant windows; it is accepted when two consecutive shifts
-    agree (``settle``).  The complementary parity is checked to stabilize
-    to zero.  Raises ``ValueError`` if a degree is requested twice.
+    BM homology at internal degree e is the limit over r of the homology
+    of the first-quadrant total complex T at (n0 + 2r, e + r*d), n0 the
+    variable count N or N + 1 by parity and d = deg W.  Each degree is
+    read at r = 0, which is exact.  T(n, q) = (+)_{i >= 0} C_{n-2i}(A) in
+    chain degree q - i*d, with A = k[x_1..x_N], and dropping column i = 0
+    and renumbering i -> i - 1 is a surjective chain map
+    pi: T(n+2, q+d) -> T(n, q).  Its kernel is column 0, the normalized
+    bar complex of A with b alone, whose homology in degree m is
+    Omega^m_A by Hochschild-Kostant-Rosenberg, zero for m > N over every
+    field (Loday, *Cyclic Homology*, 3.2).  The long exact sequence of pi
+    then makes H_n(pi) an isomorphism for every n >= N, so every spot read
+    here has the value of every later shift; the tower is surjective with
+    constant homology, so it is Mittag-Leffler and r = 0 is its limit.
+
+    Both parities use the differential at (N + 1, e), the first as d_in,
+    the second as d_out: it is assembled once and kept in ``shared``
+    between the two uses, so each degree builds the differentials at
+    (N, e), (N + 1, e) and (N + 2, e) only.  Raises ``ValueError`` if a
+    degree is requested twice.
     """
     model.require_homogeneous()
     if len(set(internal_degrees)) != len(internal_degrees):
         raise ValueError("internal degrees repeat: %r" % (internal_degrees,))
     n0 = model.ring.nvars
-    d = model.degree
     dims = {}
-    stab = {}
     for e in internal_degrees:
-        # Both parities at shift r use the differential at (n0+2r+1, q), the
-        # first as d_in, the second as d_out: it is assembled once and kept
-        # in ``shared`` between the two uses.
         shared = {}
         for parity_offset in (0, 1):
-            shifts = ((r, bm_spot_homology(model, n0 + parity_offset + 2 * r,
-                                           e + r * d, shared))
-                      for r in range(max_r + 1))
-            settled, stab[(e, parity_offset)] = settle(
-                shifts, "degree %d (parity offset %d) did not settle in %d "
-                "shifts" % (e, parity_offset, max_r))
-            dims[(e, (n0 + parity_offset) % 2)] = settled
-    return HomologyReport("borel_moore", dims, stab)
+            dims[(e, (n0 + parity_offset) % 2)] = bm_spot_homology(
+                model, n0 + parity_offset, e, shared)
+    return HomologyReport("borel_moore", dims)
 
 
 # ---------------------------------------------------------------------------

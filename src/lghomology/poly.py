@@ -35,6 +35,12 @@ MAX_POWER_DEGREE = 100
 MAX_PRODUCT_WORK = 10000
 # Longest integer literal accepted: the default limit of int() on strings.
 MAX_LITERAL_DIGITS = 4300
+# Most bits a parsed product may have in a rational coefficient: a product
+# is refused before it is made when the largest numerators or denominators
+# of its factors have bit lengths summing past this, twice that of a
+# maximal literal.  Without it a maximal literal to the power 100 has
+# 1.4 million bits.  Coefficients mod p stay small and are not counted.
+MAX_COEFFICIENT_BITS = 2 * (10 ** MAX_LITERAL_DIGITS).bit_length()
 # Deepest nesting of parentheses and unary minus signs accepted; the
 # parser recurses once per level, so deeper input is refused before the
 # interpreter's recursion limit is reached.
@@ -297,6 +303,14 @@ def _tokenize(text):
     return tokens
 
 
+def _coefficient_bits(poly):
+    """Bit length of the largest numerator or denominator among the
+    rational coefficients of ``poly``; 0 over a prime field."""
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for c in poly.terms.values() if isinstance(c, Fraction)),
+               default=0)
+
+
 def parse_polynomial(text, ring):
     """Parse an expression into a :class:`Polynomial` over ``ring``."""
     tokens = _tokenize(text)
@@ -313,11 +327,17 @@ def parse_polynomial(text, ring):
     def advance():
         idx[0] += 1
 
+    def check_bits(a, b):
+        if _coefficient_bits(a) + _coefficient_bits(b) > MAX_COEFFICIENT_BITS:
+            raise ParseError("a product's coefficients would need more than "
+                             "%d bits" % MAX_COEFFICIENT_BITS, pos())
+
     def multiply(a, b):
         work[0] += len(a.terms) * len(b.terms)
         if work[0] > MAX_PRODUCT_WORK:
             raise ParseError("expanding products needs more than %d term "
                              "products" % MAX_PRODUCT_WORK, pos())
+        check_bits(a, b)
         return a * b
 
     def parse_expr():
@@ -347,6 +367,7 @@ def parse_polynomial(text, ring):
             else:
                 if len(nxt.terms) != 1 or nxt.leading_monomial() != ring.zero_mono():
                     raise ParseError("can only divide by a nonzero constant", pos())
+                check_bits(acc, nxt)
                 acc = acc.scale(ring.field.one / nxt.leading_coeff())
         return acc
 

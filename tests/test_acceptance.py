@@ -131,7 +131,7 @@ def test_criterion_9_borel_moore_vs_canonical():
         model = make_model(src, names)
         can = canonical_module(model)
         degrees = sorted(can.dims.dims)
-        rep = hh_bm_graded(model, degrees, max_r=5)
+        rep = hh_bm_graded(model, degrees)
         for e in degrees:
             assert rep.dims[(e, can.parity)] == can.dims[e]
             assert rep.dims.get((e, 1 - can.parity), 0) == 0

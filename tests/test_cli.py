@@ -343,8 +343,12 @@ def test_window_below_one_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("potential", [
     "x^1000000000", "(x^2+1)^%d" % (MAX_POWER_DEGREE // 2 + 1),
     "2^" + "9" * 5000, "(x+y+z)^99", "(x+y+z)^40*(x+y+z)^40",
+    "9" * MAX_LITERAL_DIGITS + "^100*x^3",
+    ("9" * MAX_LITERAL_DIGITS + "^100*") * 2 + "x^3",
+    "(%s*x)^100" % ("9" * MAX_LITERAL_DIGITS),
 ], ids=["huge-exponent", "degree-above-limit", "5000-digit-exponent",
-        "wide-power", "product-of-wide-powers"])
+        "wide-power", "product-of-wide-powers", "huge-coefficient-power",
+        "product-of-huge-coefficient-powers", "power-of-huge-coefficient"])
 def test_exponent_bomb_is_refused_at_parse_time(tmp_path, capsys, potential):
     path = write(tmp_path, "bomb.lg",
                  "variables x y z\npotential %s\n" % potential)

@@ -327,7 +327,7 @@ def test_bm_matches_canonical_module():
         model = make_model(src, names)
         can = canonical_module(model)
         degrees = sorted(can.dims.dims)
-        rep = hh_bm_graded(model, degrees, max_r=5)
+        rep = hh_bm_graded(model, degrees)
         for e in degrees:
             assert rep.dims[(e, can.parity)] == can.dims[e]
             assert rep.dims.get((e, 1 - can.parity), 0) == 0
@@ -335,7 +335,7 @@ def test_bm_matches_canonical_module():
 
 def test_bm_zero_outside_support():
     model = make_model("x^2", "x")
-    rep = hh_bm_graded(model, [0, 3], max_r=5)
+    rep = hh_bm_graded(model, [0, 3])
     assert all(v == 0 for v in rep.dims.values())
 
 
@@ -344,6 +344,33 @@ def test_bm_spot_homology_direct():
     # canonical module of x^3 sits in degrees 1 and 2, odd parity
     assert bm_spot_homology(model, 1, 1) == 1
     assert bm_spot_homology(model, 1, 2) == 1
+
+
+def test_bm_value_is_the_same_at_every_shift():
+    # H_n of the first-quadrant complex is the same at (n + 2r, q + r*d)
+    # for every n >= N (Hochschild-Kostant-Rosenberg), which is why
+    # hh_bm_graded reads each degree at shift 0 only
+    for src, names in (("x^3", "x"), ("x^2+y^2", "xy")):
+        model = make_model(src, names)
+        n0, d = model.ring.nvars, model.degree
+        degrees = sorted(canonical_module(model).dims.dims)
+        for e in degrees + [degrees[-1] + 1]:
+            for offset in (0, 1):
+                values = {bm_spot_homology(model, n0 + offset + 2 * r,
+                                           e + r * d)
+                          for r in range(3)}
+                assert len(values) == 1, (src, e, offset, values)
+
+
+def test_bm_of_three_variables_matches_canonical_module():
+    for src in ("x^3+y^3+z^3", "x^3+y^3+z^3+x*y*z"):
+        model = make_model(src, "xyz")
+        can = canonical_module(model)
+        assert sorted(can.dims.dims) == [3, 4, 5, 6]
+        rep = hh_bm_graded(model, [3, 4, 5, 6])
+        for e in (3, 4, 5, 6):
+            assert rep.dims[(e, can.parity)] == can.dims[e]
+            assert rep.dims[(e, 1 - can.parity)] == 0
 
 
 def test_bm_ranks_each_differential_once(monkeypatch):
@@ -360,12 +387,12 @@ def test_bm_ranks_each_differential_once(monkeypatch):
     monkeypatch.setattr(hochschild, "_bm_differential", differential)
     eliminated = record_eliminations(monkeypatch)
     model = make_model("x^3+y^3", "xy")
-    rep = hh_bm_graded(model, [2, 3, 4], max_r=5)
+    rep = hh_bm_graded(model, [2, 3, 4])
     assert rep.dims == {(2, 0): 1, (3, 0): 2, (4, 0): 1,
                         (2, 1): 0, (3, 1): 0, (4, 1): 0}
-    # both parities at shift r use the differential at (2 + 2r + 1, q)
-    spots = [built[id(m)][1] for m in eliminated]
-    assert (3, 3) in spots and (5, 6) in spots
+    # each degree is read at shift 0: only (2, q), (3, q) and (4, q)
+    assert all(n in (2, 3, 4) and q in (2, 3, 4)
+               for _, (n, q) in built.values())
     # every assembled differential is eliminated, and none twice
     assert sorted(map(id, eliminated)) == sorted(built)
 
@@ -380,11 +407,12 @@ def test_bm_assembles_each_differential_once(monkeypatch):
         return real_diff(model, n, q)
     monkeypatch.setattr(hochschild, "_bm_differential", differential)
     model = make_model("x^3+y^3", "xy")
-    rep = hh_bm_graded(model, [2, 3, 4], max_r=5)
+    rep = hh_bm_graded(model, [2, 3, 4])
     assert rep.dims == {(2, 0): 1, (3, 0): 2, (4, 0): 1,
                         (2, 1): 0, (3, 1): 0, (4, 1): 0}
-    # the differential at (2 + 2r + 1, q) serves both parities at shift r
-    assert (3, 3) in assembled and (5, 6) in assembled
+    # each degree is read at shift 0; the differential at (3, q) serves
+    # both parities
+    assert set(assembled) == {(n, q) for n in (2, 3, 4) for q in (2, 3, 4)}
     assert len(assembled) == len(set(assembled))
 
 

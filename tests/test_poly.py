@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from lghomology.errors import NotZeroDimensional, ParseError, UnknownVariable
 from lghomology.jacobi import LGModel, expected_weighted_milnor
 from lghomology.linalg import PrimeField, QQ
-from lghomology.poly import (MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH,
+from lghomology.poly import (MAX_COEFFICIENT_BITS, MAX_LITERAL_DIGITS,
+                             MAX_NESTING_DEPTH,
                              MAX_POWER_DEGREE, DimensionSeries, PolyRing, Polynomial,
                              buchberger, format_polynomial,
                              graded_quotient_dims, is_zero_dimensional,
@@ -56,6 +57,25 @@ def test_parse_refuses_literals_above_the_digit_limit():
     assert top.leading_coeff() == 10 ** MAX_LITERAL_DIGITS - 1
     with pytest.raises(ParseError):
         parse_polynomial("9" * (MAX_LITERAL_DIGITS + 1) + "*x", ring)
+
+
+def test_parse_refuses_coefficients_above_the_bit_limit():
+    ring = PolyRing(("x",))
+    big = "9" * MAX_LITERAL_DIGITS
+    square = parse_polynomial("%s^2*x" % big, ring)
+    assert square.leading_coeff() == (10 ** MAX_LITERAL_DIGITS - 1) ** 2
+    assert square.leading_coeff().numerator.bit_length() <= MAX_COEFFICIENT_BITS
+    divided = parse_polynomial("x/%s/%s" % (big, big), ring)
+    assert divided.leading_coeff() == 1 / square.leading_coeff()
+    for src in ("%s^3*x" % big, "%s^100*x" % big, "(%s*x)^100" % big,
+                "x/%s/%s/%s" % (big, big, big)):
+        with pytest.raises(ParseError):
+            parse_polynomial(src, ring)
+    # residues mod p stay small, so a prime field never reaches the limit
+    gf = PolyRing(("x",), field=PrimeField(31991))
+    power = parse_polynomial("%s^100*x" % big, gf)
+    assert power.leading_coeff() == gf.field.from_int(
+        pow(10 ** MAX_LITERAL_DIGITS - 1, 100, 31991))
 
 
 def test_parse_refuses_nesting_above_the_depth_limit():
