@@ -18,7 +18,9 @@ and entries by ``,``, plus optional ``twists0`` / ``twists1`` integer lists.
 
 Machine output is versioned JSON with sorted keys; the human tables are
 derived from the same data.  Exit codes: 2 parse, 3 isolation, 4
-stabilization, 5 factorization verification, 6 sector.
+stabilization (including ``WindowTooLarge``, a window that would settle
+but is over ``MAX_WINDOW_TENSORS``), 5 factorization verification, 6
+sector.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 from .errors import (FactorizationInvalid, LGError, NoStabilization,
                      NonIsolated, NonIsolatedSector, ParseError)
-from .hochschild import FiniteCurvedAlgebra, hh_bm_graded, hh_ordinary
+from .hochschild import (FiniteCurvedAlgebra, check_window, hh_bm_graded,
+                         hh_ordinary)
 from .jacobi import (INFINITE, LGModel, canonical_data, canonical_module,
                      jacobi_data, socle_degree)
 from .linalg import PrimeField, QQ
@@ -337,6 +341,9 @@ def cmd_hh(args):
     if args.variant == "ordinary":
         if mf.carrier is None:
             raise ParseError("the ordinary variant needs a carrier line")
+        # the carrier costs dim^2 products: refuse one whose smallest
+        # window that can settle is over the limit before building it
+        check_window(prod(mf.carrier), MIN_TENSOR_WINDOW)
         carrier = FiniteCurvedAlgebra.truncated(
             mf.carrier, model.potential.terms, model.ring.field)
         window = args.window if args.window is not None else \

@@ -64,6 +64,10 @@ class NoStabilization(LGError):
     exit_code = 4
 
 
+class WindowTooLarge(NoStabilization):
+    """The window a value needs to settle is over the size limit."""
+
+
 class FactorizationInvalid(LGError):
     """The factors do not compose to W times the identity."""
 

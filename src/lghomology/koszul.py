@@ -11,7 +11,7 @@ grade by the potential degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import factorial
 
 from .errors import CharacteristicTooSmall
@@ -115,27 +115,24 @@ def koszul_homology_dims(model, max_grade):
 
     Returns {k: {grade: dim}} with zero entries omitted, both levels in
     ascending order.  The spots are walked one complex at a time: the
-    contraction keeps the charge g + k*d, and the d_in of spot (k, g) is
-    the d_out of the next spot (k + 1, g - d), so each map is built once
-    and dropped after that second use.
+    contraction keeps the charge g + k*d, the spots of one charge are
+    consecutive in k, and their maps ``contract_dW`` and the one after
+    the last are read pairwise, those at k and k + 1 being the d_out and
+    d_in of spot k.
     """
     ring = model.ring
     d = model.degree
     lo = -sum(ring.weights)
     out = {}
     for charge in range(lo, max_grade + ring.nvars * d + 1):
-        d_out = None
-        for k in range(ring.nvars + 1):
-            g = charge - k * d
-            if not lo <= g <= max_grade:
-                continue
-            if d_out is None:
-                d_out = contract_dW(model, k, g)
-            d_in = contract_dW(model, k + 1, g - d)
+        ks = [k for k in range(ring.nvars + 1)
+              if lo <= charge - k * d <= max_grade]
+        maps = (contract_dW(model, k, charge - k * d)
+                for k in range(ring.nvars + 2) if k in ks or k - 1 in ks)
+        for k, (d_out, d_in) in zip(ks, pairwise(maps)):
             h = homology_dim(d_in, d_out)
             if h:
-                out.setdefault(k, {})[g] = h
-            d_out = d_in
+                out.setdefault(k, {})[charge - k * d] = h
     return {k: dict(sorted(out[k].items())) for k in sorted(out)}
 
 

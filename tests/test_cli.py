@@ -382,6 +382,20 @@ def test_huge_prime_is_refused_fast(tmp_path, capsys, prime):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("powers", ["6 6", "1000 1000"])
+def test_oversized_ordinary_window_is_refused_first(tmp_path, capsys, powers):
+    # the smallest window that can settle holds 55.6 million tensors over
+    # 6 6; over 1000 1000 even the carrier (10^12 products) is never built
+    path = write(tmp_path, "big.lg", "variables x y\npotential x*y\n"
+                 "carrier truncated %s\n" % powers)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["hh", path, "--variant", "ordinary",
+                                  "--format", "machine"])
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_STABILIZATION and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Work done once per job
 

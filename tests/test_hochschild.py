@@ -6,11 +6,12 @@ import pytest
 
 from conftest import make_model, record_eliminations
 from lghomology.errors import (BadFunctional, InfiniteCarrier,
-                               PositiveDegreeCarrier, WindowTooSmall)
+                               NoStabilization, PositiveDegreeCarrier,
+                               WindowTooLarge, WindowTooSmall)
 from lghomology.hochschild import (ChainWindow, CochainWindow,
                                    FiniteCurvedAlgebra, HomologyReport,
                                    PureCurvatureSpace, bar_minus, bar_plus,
-                                   bm_spot_homology,
+                                   bm_spot_homology, check_window,
                                    compact_type_check,
                                    hh_bm_graded, hh_ordinary,
                                    mixed_complex_check, poly_boundary_minus,
@@ -298,6 +299,43 @@ def test_ordinary_windows_stop_one_past_the_settled_cap(monkeypatch):
         assert tops and max(tops) <= max(rep.stabilization.values()) + 1
 
 
+def test_ordinary_reports_the_parity_that_does_not_settle():
+    # parity 0 reads caps 0, 2, ... and parity 1 caps 1, 3, ...; each needs
+    # two caps below the window
+    for parity, window in ((0, 2), (1, 3)):
+        message = "^parity %d did not settle within tensor window %d$" % (
+            parity, window)
+        with pytest.raises(NoStabilization, match=message):
+            hh_ordinary(trunc(4, {2: 3}), max_tensor=window)
+
+
+def test_check_window_counts_the_normalized_window():
+    for alg in (trunc(4, {2: 3}),
+                FiniteCurvedAlgebra.truncated((2, 3), {(1, 1): 1}, QQ)):
+        for top in range(4):
+            win = ChainWindow(alg, top)
+            assert check_window(alg.dim, top) == \
+                sum(win.dim(k) for k in range(top + 1))
+
+
+def test_ordinary_refuses_a_window_over_the_limit_before_building_it(
+        monkeypatch):
+    import lghomology.hochschild as hochschild
+    # over k[x]/x^4 the windows up to tensor degree 0, 1, 2 hold 4, 16, 52
+    monkeypatch.setattr(hochschild, "MAX_WINDOW_TENSORS", 50)
+    tops = []
+    real_init = ChainWindow.__init__
+
+    def recorded(win, algebra, max_tensor, *rest):
+        tops.append(max_tensor)
+        real_init(win, algebra, max_tensor, *rest)
+    monkeypatch.setattr(ChainWindow, "__init__", recorded)
+    with pytest.raises(WindowTooLarge):
+        hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+    assert tops == [0, 1]
+    assert issubclass(WindowTooLarge, NoStabilization)
+
+
 def test_ordinary_rejects_flat_algebra():
     alg = FiniteCurvedAlgebra.truncated_polynomial(2, {})
     with pytest.raises(ValueError):
@@ -444,6 +482,24 @@ def test_compact_type_guards():
         compact_type_check(FiniteCurvedAlgebra.truncated_polynomial(2, {}))
     with pytest.raises(PositiveDegreeCarrier):
         compact_type_check(FiniteCurvedAlgebra.graded_points([1]))
+
+
+def test_compact_type_builds_each_full_window_map_once(monkeypatch):
+    import lghomology.hochschild as hochschild
+    real_homology = hochschild.homology_dim
+    calls = []
+
+    def recorded(d_in, d_out):
+        calls.append((d_in, d_out))
+        return real_homology(d_in, d_out)
+    monkeypatch.setattr(hochschild, "homology_dim", recorded)
+    assert compact_type_check(FiniteCurvedAlgebra.graded_points([-1, -2]),
+                              max_internal=2)
+    # spot m reads the full window, then the capped one
+    full = calls[::2]
+    assert len(full) == 5
+    for here, after in zip(full, full[1:]):
+        assert here[1] is after[0]
 
 
 # ---------------------------------------------------------------------------
