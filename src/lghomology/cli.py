@@ -18,9 +18,9 @@ and entries by ``,``, plus optional ``twists0`` / ``twists1`` integer lists.
 
 Machine output is versioned JSON with sorted keys; the human tables are
 derived from the same data.  Exit codes: 2 parse, 3 isolation, 4
-stabilization (including ``WindowTooLarge``, a window that would settle
-but is over ``MAX_WINDOW_TENSORS``), 5 factorization verification, 6
-sector.
+stabilization (including ``WindowTooLarge``, an ordinary-HH window over
+``MAX_WINDOW_TENSORS`` or Borel-Moore degrees over ``MAX_BM_TENSORS``),
+5 factorization verification, 6 sector.
 """
 
 from __future__ import annotations

@@ -65,7 +65,10 @@ class NoStabilization(LGError):
 
 
 class WindowTooLarge(NoStabilization):
-    """The window a value needs to settle is over the size limit."""
+    """A window is over its size limit, refused before it is built: the
+    chain window an ordinary HH value needs to settle
+    (``MAX_WINDOW_TENSORS``), or the chain bases of the Borel-Moore
+    degrees asked for (``MAX_BM_TENSORS``)."""
 
 
 class FactorizationInvalid(LGError):
@@ -99,7 +102,7 @@ class DegreeConstraintViolated(LGError):
 
 
 class ParityViolation(LGError):
-    pass
+    """An element or map has the wrong Z/2 parity."""
 
 
 class NonIsolatedSector(LGError):

@@ -73,8 +73,10 @@ def _dW_map(model, src, dst, wedge):
 
     Each term dx_i of dW moves index i into the index tuple (``wedge``) or
     out of it (contraction), times the partial of W in x_i, with the sign
-    (-1)^(position of i in the larger tuple).
+    (-1)^(position of i in the larger tuple).  Raises ``NonHomogeneous``
+    unless W is weighted-homogeneous, as the bases are graded by deg W.
     """
+    model.require_homogeneous()
     field = model.ring.field
     partials = [model.potential.diff(i).terms for i in range(model.ring.nvars)]
     index = {e: n for n, e in enumerate(dst)}
@@ -203,9 +205,10 @@ def hkr_split(model, k, grade):
 
 def split_insertion_identity(model, k, grade):
     """Check: splitting after curvature insertion equals wedging with dW."""
+    # wedge_dW first: it refuses a W that is not homogeneous
+    right = wedge_dW(model, k, grade) @ hkr_split(model, k, grade)
     left = hkr_split(model, k + 1, grade + model.degree) @ \
         poly_boundary_plus(model, k, grade)
-    right = wedge_dW(model, k, grade) @ hkr_split(model, k, grade)
     return left == right
 
 

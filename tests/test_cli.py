@@ -396,6 +396,19 @@ def test_oversized_ordinary_window_is_refused_first(tmp_path, capsys, powers):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("degrees", ["14", "2,14", "1000000000"])
+def test_oversized_bm_degrees_are_refused_first(tmp_path, capsys, degrees):
+    # on x^3+y^3, degree 10 took 4 s and degree 14 over 60 s unbounded
+    path = write(tmp_path, "big.lg", "variables x y\npotential x^3+y^3\n"
+                 "window degrees=%s\n" % degrees)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["hh", path, "--variant", "bm",
+                                  "--format", "machine"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_STABILIZATION and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Work done once per job
 

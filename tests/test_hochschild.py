@@ -6,16 +6,18 @@ import pytest
 
 from conftest import make_model, record_eliminations
 from lghomology.errors import (BadFunctional, InfiniteCarrier,
-                               NoStabilization, PositiveDegreeCarrier,
-                               WindowTooLarge, WindowTooSmall)
+                               NoStabilization, ParityViolation,
+                               PositiveDegreeCarrier, WindowTooLarge,
+                               WindowTooSmall)
 from lghomology.hochschild import (ChainWindow, CochainWindow,
                                    FiniteCurvedAlgebra, HomologyReport,
                                    PureCurvatureSpace, bar_minus, bar_plus,
-                                   bm_spot_homology, check_window,
-                                   compact_type_check,
+                                   bm_spot_homology, check_bm_window,
+                                   check_window, compact_type_check,
                                    hh_bm_graded, hh_ordinary,
                                    mixed_complex_check, poly_boundary_minus,
-                                   poly_boundary_plus, vanishing_homotopy,
+                                   poly_boundary_plus, poly_chain_basis,
+                                   vanishing_homotopy,
                                    vanishing_homotopy_cochain)
 from lghomology.jacobi import canonical_module
 from lghomology.linalg import QQ, Matrix, PrimeField, rank
@@ -124,6 +126,68 @@ def test_homotopy_unnormalized_functional_is_rescaled():
     vanishing_homotopy(space, {1: QQ.from_int(5)}, 4)
 
 
+def homotopy_carriers():
+    """Carriers of every kind, each with a functional L, L(W) != 0."""
+    f7 = PrimeField(7)
+    algebras = [
+        FiniteCurvedAlgebra.truncated(powers, {m: field.from_int(c)
+                                               for m, c in curv.items()},
+                                      field, degrees)
+        for powers, curv, field, degrees in (
+            ((3,), {(2,): 3}, QQ, None),
+            ((4,), {(2,): 5}, QQ, None),
+            ((4,), {(2,): 1, (3,): 2}, QQ, None),
+            ((2, 3), {(1, 1): 1}, QQ, None),
+            ((3, 3), {(2, 0): 1, (0, 2): -1}, QQ, None),
+            ((4,), {(2,): 3}, f7, None),
+            ((3,), {(0,): 1}, QQ, None),               # W a multiple of 1
+            ((3, 3), {(2, 0): 1, (0, 2): 1}, QQ, (1, 1)))]
+    algebras.append(cross_product(GroupAction.cyclic(2, (1,)), (3,),
+                                  {(2,): 1}).algebra)
+    for alg in algebras:
+        first = min(alg.curvature)
+        # nonzero off the curvature too, so that every slot is paired
+        L = {b: alg.field.from_int(b + 1) for b in range(alg.dim)
+             if b == first or b not in alg.curvature}
+        yield alg, L
+
+
+def test_homotopy_contracts_every_carrier():
+    for alg, L in homotopy_carriers():
+        h = vanishing_homotopy(alg, L, 4)
+        assert set(h) == set(range(5))
+        hc = vanishing_homotopy_cochain(alg, L, 3)
+        assert set(hc) == set(range(4))
+
+
+def test_homotopy_refuses_an_odd_curvature(monkeypatch):
+    import lghomology.hochschild as hochschild
+
+    def unreachable(*args):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(hochschild, "homotopy", unreachable)
+    monkeypatch.setattr(ChainWindow, "boundary_plus", unreachable)
+    for curv in ({(1,): QQ.one}, {(1,): QQ.one, (2,): QQ.one}):
+        # W = x is odd, W = x + x^2 of mixed parity
+        alg = FiniteCurvedAlgebra.truncated((3,), curv, QQ, degrees=(1,))
+        with pytest.raises(ParityViolation):
+            vanishing_homotopy(alg, {1: QQ.one}, 4)
+        with pytest.raises(ParityViolation):
+            vanishing_homotopy_cochain(alg, {1: QQ.one}, 3)
+
+
+def test_homotopy_canary_one_check_guards_both_sides(monkeypatch):
+    import lghomology.hochschild as hochschild
+    real = hochschild.homotopy
+    monkeypatch.setattr(hochschild, "homotopy",
+                        lambda win, L, k: -real(win, L, k))
+    alg, L = next(homotopy_carriers())
+    with pytest.raises(AssertionError):
+        vanishing_homotopy(alg, L, 4)
+    with pytest.raises(AssertionError):
+        vanishing_homotopy_cochain(alg, L, 3)
+
+
 # ---------------------------------------------------------------------------
 # Cochain complex identities
 
@@ -148,7 +212,7 @@ def test_cochain_signs_come_from_the_bar_engine():
     import lghomology.hochschild as hochschild
     # the only sign written out besides bar_minus/bar_plus is the homotopy's
     module = inspect.getsource(hochschild)
-    homotopy = inspect.getsource(PureCurvatureSpace.homotopy)
+    homotopy = inspect.getsource(hochschild.homotopy)
     assert module.count("from_int(-1)") == homotopy.count("from_int(-1)") == 1
     assert "Matrix(" not in inspect.getsource(CochainWindow)
 
@@ -452,6 +516,33 @@ def test_bm_assembles_each_differential_once(monkeypatch):
     # both parities
     assert set(assembled) == {(n, q) for n in (2, 3, 4) for q in (2, 3, 4)}
     assert len(assembled) == len(set(assembled))
+
+
+def test_check_bm_window_bounds_the_bases_built():
+    # the count is every chain basis of tensor degree k <= N + 2 and degree
+    # D <= the top degree, which contains all that reading the degrees builds
+    for src, names, weights in (("x^3", "x", None), ("x^3+y^3", "xy", None),
+                                ("x^3+y^2", "xy", (2, 3))):
+        model = make_model(src, names, weights)
+        ring = model.ring
+        for top in range(6):
+            assert check_bm_window(ring, top) == sum(
+                len(poly_chain_basis(ring, k, D))
+                for k in range(ring.nvars + 3) for D in range(top + 1))
+
+
+def test_bm_refuses_degrees_over_the_limit_before_assembling(monkeypatch):
+    import lghomology.hochschild as hochschild
+    assembled = []
+    monkeypatch.setattr(hochschild, "_bm_differential",
+                        lambda *args: assembled.append(args))
+    model = make_model("x^3+y^3", "xy")
+    # degree 10 alone builds 83,578 tensors, degree 11 172,822
+    assert check_bm_window(model.ring, 10) == 83578
+    for degrees in ([11], [2, 14], [10 ** 9]):
+        with pytest.raises(WindowTooLarge):
+            hh_bm_graded(model, degrees)
+    assert assembled == []
 
 
 def test_bm_rejects_a_repeated_degree():

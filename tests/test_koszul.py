@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_model, record_eliminations
-from lghomology.errors import CharacteristicTooSmall
+from lghomology.errors import CharacteristicTooSmall, NonHomogeneous
 from lghomology.jacobi import canonical_module, jacobi_data
 from lghomology.koszul import (contract_dW, e2_page, form_basis,
                                form_comparison, hkr_split,
@@ -129,6 +129,20 @@ def test_split_requires_large_characteristic():
         hkr_split(model, 3, 3)
     # k below the characteristic is fine
     hkr_split(model, 2, 2)
+
+
+def test_koszul_maps_refuse_a_potential_that_is_not_homogeneous():
+    # x^5 + y^3 at unit weights: the row lookups of both Koszul rules miss
+    # their graded targets, so they must be refused first
+    model = make_model("x^5+y^3", "xy")
+    with pytest.raises(NonHomogeneous):
+        koszul_homology_dims(model, 1)
+    with pytest.raises(NonHomogeneous):
+        wedge_dW(model, 0, 1)
+    with pytest.raises(NonHomogeneous):
+        contract_dW(model, 1, 0)
+    with pytest.raises(NonHomogeneous):
+        split_insertion_identity(model, 1, 1)
 
 
 def test_e2_support_univariate_cubic():
