@@ -54,6 +54,11 @@ class BadFunctional(LGError):
     """The chosen functional kills the curvature element."""
 
 
+class UnitCurvature(LGError):
+    """The curvature is a multiple of the unit, so normalized chains see
+    none of it and ordinary HH has no window to settle on."""
+
+
 class InfiniteCarrier(LGError):
     """Operation requires a finite-dimensional carrier."""
 

@@ -40,7 +40,8 @@ from __future__ import annotations
 from itertools import islice, pairwise, product as iter_product, tee
 
 from .errors import (BadFunctional, InfiniteCarrier, ParityViolation,
-                     PositiveDegreeCarrier, WindowTooLarge, WindowTooSmall)
+                     PositiveDegreeCarrier, UnitCurvature, WindowTooLarge,
+                     WindowTooSmall)
 # ``rank`` is unused here but kept: lghbench/tracer.py rebinds hochschild.rank
 from .linalg import (Matrix, QQ, add_to, homology_dim, rank,  # noqa: F401
                      settle)
@@ -531,9 +532,16 @@ def hh_ordinary(algebra, max_tensor=10):
     Enlarging M by two adds one column, and a value is accepted once two
     consecutive caps of its parity agree (``settle``), so nothing past the
     cap that settles is built.
+
+    A curvature that is a multiple of the unit is refused with
+    ``UnitCurvature`` before any window is built: the normalized chains
+    drop the unit, so no cap would ever settle.
     """
     if not algebra.curvature:
         raise ValueError("curvature element is zero; use a flat computation")
+    if set(algebra.curvature) == {algebra.unit}:
+        raise UnitCurvature("curvature is a multiple of the unit; ordinary "
+                            "HH is not read on normalized chains")
 
     def differential(cap):
         check_window(algebra.dim, cap + 1)

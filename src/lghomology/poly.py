@@ -20,6 +20,7 @@ import heapq
 import itertools
 import re
 from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import NotZeroDimensional, ParseError, UnknownVariable
 from .linalg import QQ, add_to
@@ -146,19 +147,19 @@ class PolyRing:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Polynomial:
@@ -430,11 +431,15 @@ def parse_polynomial(text, ring):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis with monic generators, deterministically sorted."""
+    """Reduced Groebner basis with monic generators, deterministically sorted.
 
-    def __init__(self, ring, generators):
+    ``leads[k]`` is the leading monomial of ``generators[k]``.
+    """
+
+    def __init__(self, ring, generators, leads):
         self.ring = ring
         self.generators = generators
+        self.leads = leads
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -445,21 +450,20 @@ class GroebnerBasis:
         return hash((self.ring, self.generators))
 
     def leading_monomials(self):
-        return [g.leading_monomial() for g in self.generators]
+        return self.leads
 
     def __iter__(self):
         return iter(self.generators)
 
 
 def _reduce_once(f, gens, leads):
-    """One full normal-form pass of ``f`` against ``gens``.
+    """One full normal-form pass of ``f`` against the monic ``gens``.
 
     ``leads[k]`` is the leading monomial of ``gens[k]``.  The terms still to
     reduce sit in a heap keyed by the negated order key, so the largest
     comes out first; an entry whose term has cancelled is skipped.
     """
     ring = f.ring
-    one = ring.field.one
     remainder = {}
     work = dict(f.terms)
     heap = [(-ring.weighted_degree(m), m[::-1]) for m in work]
@@ -475,19 +479,17 @@ def _reduce_once(f, gens, leads):
         else:
             remainder[mono] = coeff
             continue
-        hit = gens[k]
         quot_mono = mono_div(mono, lead)
-        factor = coeff * (one / hit.terms[lead])
-        for gm, gc in hit.terms.items():
+        for gm, gc in gens[k].terms.items():
             key = mono_mul(gm, quot_mono)
             if key == mono:
                 continue
             cur = work.get(key)
             if cur is None:
-                work[key] = -factor * gc
+                work[key] = -coeff * gc
                 heapq.heappush(heap, (-ring.weighted_degree(key), key[::-1]))
                 continue
-            s = cur - factor * gc
+            s = cur - coeff * gc
             if s:
                 work[key] = s
             else:
@@ -497,7 +499,7 @@ def _reduce_once(f, gens, leads):
 
 def normal_form(f, gb):
     """Remainder of ``f`` modulo the Groebner basis; zero iff f is in the ideal."""
-    return _reduce_once(f, list(gb.generators), gb.leading_monomials())
+    return _reduce_once(f, gb.generators, gb.leads)
 
 
 def _s_polynomial(f, lf, g, lg):
@@ -514,6 +516,23 @@ def buchberger(gens, ring=None):
     Normal selection strategy: the pair with the smallest lcm of leading
     monomials goes first, ties in the order the pairs were formed.  Each
     basis element's leading monomial is computed once, when it joins.
+
+    Pairs are pruned by the Gebauer-Moeller update (Gebauer and Moeller,
+    J. Symbolic Comput. 6, 1988; Becker and Weispfenning, *Groebner Bases*,
+    1993, p. 230).  When h joins:
+
+    - M: a new pair (g, h) is dropped when another new pair's lcm strictly
+      divides its lcm;
+    - F: of the new pairs sharing an lcm only the first is kept, and none
+      if one of them has coprime leads (Buchberger's first criterion);
+    - B: an old pair (g1, g2) is dropped when LM(h) divides its lcm and
+      that lcm is neither lcm(g1, h) nor lcm(g2, h);
+    - every element whose lead LM(h) divides leaves the reducer set.
+
+    The criteria drop only pairs whose S-polynomials have standard
+    representations through the pairs kept, so the result is still a
+    Groebner basis of the ideal.  The reduced basis is unique for the
+    order, so the output is the one the unpruned loop gives.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -524,78 +543,108 @@ def buchberger(gens, ring=None):
     one = ring.field.one
     basis = []
     leads = []
-    pairs = []      # heap of (order key of the lcm, serial, i, j)
+    live = []       # the reducer set: indices into basis
+    pairs = []      # heap of (order key of the lcm, serial, lcm, i, j)
     serial = itertools.count()
 
     def join(g):
-        lg = g.leading_monomial()
-        basis.append(g.scale(one / g.terms[lg]))
-        leads.append(lg)
-
-    def push(i, j):
-        lcm = mono_lcm(leads[i], leads[j])
-        # Coprime leading terms: the S-polynomial reduces to zero.
-        if lcm != mono_mul(leads[i], leads[j]):
-            heapq.heappush(pairs, (ring.order_key(lcm), next(serial), i, j))
+        lh = g.leading_monomial()
+        h = len(basis)
+        basis.append(g.scale(one / g.terms[lh]))
+        leads.append(lh)
+        new = [(mono_lcm(leads[i], lh), i) for i in live]
+        # M: drop a pair whose lcm another new pair's lcm strictly divides.
+        new = [(lcm, i) for lcm, i in new
+               if not any(other != lcm and mono_divides(other, lcm)
+                          for other, _i in new)]
+        # F: one pair per lcm, the first; none if any has coprime leads.
+        kept = {}
+        for lcm, i in new:
+            if lcm == mono_mul(leads[i], lh):
+                kept[lcm] = None
+            else:
+                kept.setdefault(lcm, i)
+        # B: drop old pairs (i, j) made redundant by the chain through h.
+        pairs[:] = [p for p in pairs
+                    if not mono_divides(lh, p[2])
+                    or p[2] == mono_lcm(leads[p[3]], lh)
+                    or p[2] == mono_lcm(leads[p[4]], lh)]
+        heapq.heapify(pairs)
+        for lcm, i in kept.items():
+            if i is not None:
+                heapq.heappush(pairs, (ring.order_key(lcm), next(serial),
+                                       lcm, i, h))
+        live[:] = [i for i in live if not mono_divides(lh, leads[i])]
+        live.append(h)
 
     for g in gens:
         join(g)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push(i, j)
     while pairs:
-        _key, _serial, i, j = heapq.heappop(pairs)
+        _key, _serial, _lcm, i, j = heapq.heappop(pairs)
         s = _reduce_once(_s_polynomial(basis[i], leads[i], basis[j], leads[j]),
-                         basis, leads)
+                         [basis[k] for k in live], [leads[k] for k in live])
         if s:
             join(s)
-            k = len(basis) - 1
-            for i2 in range(k):
-                push(i2, k)
-    # Minimalize: drop generators whose leading term is divisible by another's.
-    minimal = [i for i, lm in enumerate(leads)
-               if not any(mono_divides(lh, lm) for j, lh in enumerate(leads)
-                          if j != i and (lh != lm or j < i))]
-    # Reduce each generator against the others.
+    # Minimalize: the update removed every lead a later one divides, and a
+    # remainder's lead is a multiple of no reducer's, so only an input
+    # generator's lead can still be a multiple of another.
+    minimal = [i for i in live
+               if not any(j != i and mono_divides(leads[j], leads[i])
+                          for j in live)]
+    # Reduce each generator against the others; its lead term stays.
     reduced = []
     for n, i in enumerate(minimal):
         others = minimal[:n] + minimal[n + 1:]
         g = basis[i]
         if others:
             g = _reduce_once(g, [basis[j] for j in others],
-                             [leads[j] for j in others]).monic()
-        reduced.append((ring.order_key(leads[i]), g))
-    reduced.sort(key=lambda kg: kg[0])
-    return GroebnerBasis(ring, tuple(g for _key, g in reduced))
+                             [leads[j] for j in others])
+        reduced.append((ring.order_key(leads[i]), g, leads[i]))
+    reduced.sort(key=lambda kgl: kgl[0])
+    return GroebnerBasis(ring, tuple(g for _key, g, _lead in reduced),
+                         tuple(lead for _key, _g, lead in reduced))
 
 
 def is_zero_dimensional(gb):
     """True iff the staircase is finite: each variable has a pure-power lead."""
-    ring = gb.ring
-    leads = gb.leading_monomials()
-    for i in range(ring.nvars):
-        if not any(m[i] > 0 and all(m[j] == 0 for j in range(ring.nvars) if j != i)
-                   for m in leads):
-            return False
-    return True
+    pure = set()
+    for m in gb.leads:
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) == 1:
+            pure.add(support[0])
+    return len(pure) == gb.ring.nvars
 
 
 def standard_monomials(gb):
     """Monomials outside the leading-term ideal, sorted by weighted degree.
 
-    The ideal must be zero-dimensional.
+    The ideal must be zero-dimensional.  The staircase is walked depth-first
+    from 1, raising one variable at a time, never one left of the last
+    raised, so each monomial is met once.  A branch stops at its first
+    multiple of a lead: the staircase is closed under division, so every
+    standard monomial is reached through standard ones.  Raising x_i in a
+    standard monomial m gives a multiple of a lead only if that lead's
+    x_i-exponent is m_i + 1, so only those leads are tested.
     """
     ring = gb.ring
-    leads = gb.leading_monomials()
     if not is_zero_dimensional(gb):
         raise NotZeroDimensional("staircase is infinite")
-    bounds = []
-    for i in range(ring.nvars):
-        powers = [m[i] for m in leads
-                  if m[i] > 0 and all(m[j] == 0 for j in range(ring.nvars) if j != i)]
-        bounds.append(min(powers))
-    out = [m for m in itertools.product(*(range(b) for b in bounds))
-           if not any(mono_divides(lead, m) for lead in leads)]
+    n = ring.nvars
+    at = [{} for _ in range(n)]     # at[i][e]: the leads with x_i-exponent e
+    for lead in gb.leads:
+        for i, e in enumerate(lead):
+            if e:
+                at[i].setdefault(e, []).append(lead)
+    out = []
+    stack = [(ring.zero_mono(), 0)]
+    while stack:
+        mono, first = stack.pop()
+        out.append(mono)
+        for i in range(first, n):
+            e = mono[i] + 1
+            child = mono[:i] + (e,) + mono[i + 1:]
+            if not any(mono_divides(lead, child) for lead in at[i].get(e, ())):
+                stack.append((child, i))
     out.sort(key=lambda m: (ring.weighted_degree(m),) + ring.order_key(m))
     return out
 

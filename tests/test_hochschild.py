@@ -7,8 +7,8 @@ import pytest
 from conftest import make_model, record_eliminations
 from lghomology.errors import (BadFunctional, InfiniteCarrier,
                                NoStabilization, ParityViolation,
-                               PositiveDegreeCarrier, WindowTooLarge,
-                               WindowTooSmall)
+                               PositiveDegreeCarrier, UnitCurvature,
+                               WindowTooLarge, WindowTooSmall)
 from lghomology.hochschild import (ChainWindow, CochainWindow,
                                    FiniteCurvedAlgebra, HomologyReport,
                                    PureCurvatureSpace, bar_minus, bar_plus,
@@ -398,6 +398,22 @@ def test_ordinary_refuses_a_window_over_the_limit_before_building_it(
         hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
     assert tops == [0, 1]
     assert issubclass(WindowTooLarge, NoStabilization)
+
+
+@pytest.mark.parametrize("alg", [
+    FiniteCurvedAlgebra.truncated((3,), {(0,): 1}, QQ),
+    FiniteCurvedAlgebra.truncated((2, 3), {(0, 0): Fraction(-5, 2)}, QQ),
+    FiniteCurvedAlgebra.truncated((4,), {(0,): PrimeField(7).from_int(3)},
+                                  PrimeField(7))])
+def test_ordinary_refuses_unit_curvature_before_building_a_window(
+        monkeypatch, alg):
+    built = []
+    monkeypatch.setattr(ChainWindow, "__init__",
+                        lambda win, *args: built.append(args))
+    with pytest.raises(UnitCurvature):
+        hh_ordinary(alg)
+    assert built == []
+    assert not issubclass(UnitCurvature, NoStabilization)
 
 
 def test_ordinary_rejects_flat_algebra():

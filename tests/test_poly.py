@@ -1,6 +1,7 @@
 """Multivariate polynomial arithmetic, parsing, and Groebner bases."""
 
 import inspect
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -212,19 +213,42 @@ def test_division_by_constant_only():
 # Reduced Groebner bases against sympy
 
 
-def _ideal_terms(nvars):
-    mono = st.tuples(*[st.integers(0, 2)] * nvars)
+def _ideal_terms(nvars, top=2, most=3):
+    mono = st.tuples(*[st.integers(0, top)] * nvars)
     term = st.tuples(mono, st.integers(-3, 3).filter(bool))
     return st.lists(st.lists(term, min_size=1, max_size=3),
-                    min_size=1, max_size=3)
+                    min_size=1, max_size=most)
 
 
-def _groebner_case(data, modulus):
-    """Our reduced basis and sympy's, each as term maps, ours in order."""
+def _sympy_basis(polys, ring):
+    """sympy's reduced grevlex basis of ``polys`` as term maps over the
+    ring's field, sorted by leading monomial like ours."""
     import sympy
 
-    nvars = data.draw(st.integers(2, 3))
-    gens = data.draw(_ideal_terms(nvars))
+    field = ring.field
+    modulus = field.characteristic or None
+    xs = sympy.symbols(ring.names)
+
+    def to_sympy(c):
+        return sympy.Integer(c.val) if modulus else sympy.Rational(
+            c.numerator, c.denominator)
+
+    exprs = [sum(to_sympy(c) * sympy.prod(x ** e for x, e in zip(xs, mono))
+                 for mono, c in p.terms.items()) for p in polys]
+    kwargs = {"domain": "QQ"} if modulus is None else {"modulus": modulus}
+    sym = sympy.groebner(exprs, *xs, order="grevlex", **kwargs)
+    theirs = [{m: field.from_fraction(Fraction(int(c.p), int(c.q)))
+               if modulus is None else field.from_int(int(c))
+               for m, c in p.as_dict().items()}
+              for p in sym.polys]
+    theirs.sort(key=lambda t: ring.order_key(max(t, key=ring.order_key)))
+    return theirs
+
+
+def _groebner_case(data, modulus, nvars=None, top=2, most=3):
+    """Our reduced basis and sympy's, each as term maps, ours in order."""
+    nvars = nvars or data.draw(st.integers(2, 3))
+    gens = data.draw(_ideal_terms(nvars, top, most))
     field = QQ if modulus is None else PrimeField(modulus)
     ring = PolyRing(("x", "y", "z")[:nvars], field=field)
     polys = []
@@ -235,19 +259,10 @@ def _groebner_case(data, modulus):
         polys.append(Polynomial(ring, acc))
     polys = [p for p in polys if p]
     assume(polys)
-    ours = [{m: c for m, c in g.terms.items()}
-            for g in buchberger(polys, ring)]
-    xs = sympy.symbols(ring.names)
-    exprs = [sum(c * sympy.prod(x ** e for x, e in zip(xs, mono))
-                 for mono, c in terms) for terms in gens]
-    kwargs = {"domain": "QQ"} if modulus is None else {"modulus": modulus}
-    sym = sympy.groebner(exprs, *xs, order="grevlex", **kwargs)
-    theirs = [{m: field.from_fraction(Fraction(int(c.p), int(c.q)))
-               if modulus is None else field.from_int(int(c))
-               for m, c in p.as_dict().items()}
-              for p in sym.polys]
-    theirs.sort(key=lambda t: ring.order_key(max(t, key=ring.order_key)))
-    return ours, theirs
+    gb = buchberger(polys, ring)
+    assert gb.leading_monomials() == tuple(
+        g.leading_monomial() for g in gb.generators)
+    return [dict(g.terms) for g in gb], _sympy_basis(polys, ring)
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,6 +277,80 @@ def test_reduced_basis_matches_sympy_over_q(data):
 def test_reduced_basis_matches_sympy_over_gf7(data):
     ours, theirs = _groebner_case(data, 7)
     assert ours == theirs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([None, 32003]))
+def test_reduced_basis_matches_sympy_on_larger_ideals(data, modulus):
+    # up to five generators of degree up to nine: enough pairs with
+    # shared lcms for the chain and B criteria to drop some
+    ours, theirs = _groebner_case(data, modulus, nvars=3, top=3, most=5)
+    assert ours == theirs
+
+
+# The groebner benchmark's shapes: deformed Fermat quartics and quintics.
+_DEFORMED = ["x^4+y^4+z^4+w^4+x*y*z*w+x^2*y^2",
+             "x^4+y^4+z^4+w^4+2*x*y*z*w-3*x^2*y^2",
+             "x^5+y^5+z^5+w^5+3*x^2*y*z*w",
+             "x^5+y^5+z^5+w^5-2*x^2*y*z*w"]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+@pytest.mark.parametrize("potential", _DEFORMED)
+def test_jacobi_basis_matches_sympy(potential, field):
+    ring = PolyRing(("x", "y", "z", "w"), field=field)
+    w = parse_polynomial(potential, ring)
+    partials = [w.diff(i) for i in range(4)]
+    ours = [dict(g.terms) for g in buchberger(partials, ring)]
+    assert ours == _sympy_basis(partials, ring)
+
+
+def test_buchberger_prunes_pairs_on_the_deformed_quintic(monkeypatch):
+    import lghomology.poly as poly
+    real = poly._s_polynomial
+    made = []
+
+    def recorded(*args):
+        made.append(args)
+        return real(*args)
+    monkeypatch.setattr(poly, "_s_polynomial", recorded)
+    ring = PolyRing(("x", "y", "z", "w"))
+    w = parse_polynomial(_DEFORMED[2], ring)
+    gb = buchberger([w.diff(i) for i in range(4)], ring)
+    assert len(gb.generators) == 28
+    # without the Gebauer-Moeller criteria, 346 S-polynomials are reduced
+    assert len(made) <= 80
+
+
+def _box_and_filter(gens, weights):
+    """Standard monomials of the monomial ideal ``gens`` by filtering the
+    box below its pure powers, in the order standard_monomials returns."""
+    ring = PolyRing(("x", "y", "z", "w")[:len(weights)], weights)
+    bounds = [min(g[i] for g in gens if g[i] == sum(g))
+              for i in range(len(weights))]
+    box = itertools.product(*(range(b) for b in bounds))
+    out = [m for m in box
+           if not any(all(e <= f for e, f in zip(g, m)) for g in gens)]
+    out.sort(key=lambda m: (ring.weighted_degree(m),) + ring.order_key(m))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_standard_monomials_match_box_and_filter(data):
+    nvars = data.draw(st.integers(1, 4))
+    weights = data.draw(st.one_of(
+        st.just((1,) * nvars),
+        st.tuples(*[st.integers(1, 3)] * nvars)))
+    pure = [tuple(data.draw(st.integers(1, 5)) if j == i else 0
+                  for j in range(nvars)) for i in range(nvars)]
+    extra = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars)
+                               .filter(any), max_size=5))
+    gens = pure + extra
+    ring = PolyRing(("x", "y", "z", "w")[:nvars], weights)
+    gb = buchberger([Polynomial(ring, {m: ring.field.one}) for m in gens],
+                    ring)
+    assert standard_monomials(gb) == _box_and_filter(gens, weights)
 
 
 def test_weighted_quotient_dimension_matches_milnor_formula():
