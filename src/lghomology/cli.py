@@ -32,8 +32,7 @@ import time
 from fractions import Fraction
 from math import prod
 
-from .errors import (FactorizationInvalid, LGError, NoStabilization,
-                     NonIsolated, NonIsolatedSector, ParseError)
+from .errors import FactorizationInvalid, LGError, NonIsolated, ParseError
 from .hochschild import (FiniteCurvedAlgebra, check_window, hh_bm_graded,
                          hh_ordinary)
 from .jacobi import (INFINITE, LGModel, canonical_data, canonical_module,
@@ -43,12 +42,6 @@ from .orbifold import GroupAction, orbifold_hh_bm
 from .poly import PolyRing, parse_polynomial
 
 SCHEMA_VERSION = 1
-
-EXIT_PARSE = ParseError.exit_code
-EXIT_ISOLATION = NonIsolated.exit_code
-EXIT_STABILIZATION = NoStabilization.exit_code
-EXIT_MF_VERIFY = FactorizationInvalid.exit_code
-EXIT_SECTOR = NonIsolatedSector.exit_code
 
 # hh_ordinary settles parity 1 on caps 1, 3, ... below the tensor window and
 # needs two of them, so a smaller window can never settle.
@@ -101,18 +94,25 @@ def _window_int(name, val, lineno):
                          % (name, val, lineno))
 
 
-def parse_model_file(text):
-    mf = ModelFile()
+def _keyed_lines(text):
+    """(line number, key, rest) of each line of a model or factorization
+    file that is not blank once its ``#`` comment is cut; a key seen
+    before raises ``ParseError``."""
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(" ")
-        rest = rest.strip()
         if key in seen:
             raise ParseError("duplicate %r line (line %d)" % (key, lineno))
         seen.add(key)
+        yield lineno, key, rest.strip()
+
+
+def parse_model_file(text):
+    mf = ModelFile()
+    for lineno, key, rest in _keyed_lines(text):
         if key == "field":
             toks = rest.split()
             if toks == ["rational"]:
@@ -215,13 +215,7 @@ def parse_mf_file(text, ring):
     """Factorization file: P0/P1 matrices plus optional twist lists."""
     from .mf import PolyMatrix
     data = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        if key in data:
-            raise ParseError("duplicate %r line (line %d)" % (key, lineno))
+    for lineno, key, rest in _keyed_lines(text):
         if key in ("P0", "P1"):
             rows = [[parse_polynomial(e.strip(), ring)
                      for e in row_src.split(",")]

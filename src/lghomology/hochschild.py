@@ -490,8 +490,7 @@ class CochainWindow(ChainWindow):
 
 
 class HomologyReport:
-    def __init__(self, variant, dims, stabilization=None):
-        self.variant = variant
+    def __init__(self, dims, stabilization=None):
         self.dims = dims
         self.stabilization = {} if stabilization is None else stabilization
 
@@ -569,7 +568,7 @@ def hh_ordinary(algebra, max_tensor=10):
             islice(copy, parity, None, 2),
             "parity %d did not settle within tensor window %d"
             % (parity, max_tensor))
-    return HomologyReport("ordinary", out, stab)
+    return HomologyReport(out, stab)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +723,7 @@ def hh_bm_graded(model, internal_degrees):
         maps = (_bm_differential(model, n, e) for n in range(n0, n0 + 3))
         for n, (d_out, d_in) in enumerate(pairwise(maps), n0):
             dims[(e, n % 2)] = homology_dim(d_in, d_out)
-    return HomologyReport("borel_moore", dims)
+    return HomologyReport(dims)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 
 from .errors import NonHomogeneous, NonIsolated, ZeroPotentialGradient
 from .poly import (DimensionSeries, buchberger, graded_quotient_dims,
-                   is_zero_dimensional, standard_monomials)
+                   is_zero_dimensional)
 
 INFINITE = math.inf
 
@@ -82,18 +82,6 @@ def jacobi_ideal(model):
     if not partials:
         raise ZeroPotentialGradient("all partial derivatives vanish")
     return buchberger(partials, model.ring)
-
-
-def has_isolated_critical_points(model):
-    return is_zero_dimensional(jacobi_ideal(model))
-
-
-def milnor_number(model):
-    """Dimension of the critical-locus quotient ring; INFINITE if not isolated."""
-    gb = jacobi_ideal(model)
-    if not is_zero_dimensional(gb):
-        return INFINITE
-    return len(standard_monomials(gb))
 
 
 def jacobi_data(model):

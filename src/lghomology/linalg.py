@@ -341,8 +341,9 @@ class CyclotomicField(Field):
 class Matrix:
     """Immutable sparse matrix over an exact field.
 
-    Entries are stored in a map (row, col) -> scalar holding only nonzero
-    values.  ``_rank`` is the rank once :func:`rank` has computed it.
+    Entries are a map (row, col) -> scalar, stored as given: the builder
+    keeps it free of zeros and of keys outside the shape, and hands it
+    over.  ``_rank`` is the rank once :func:`rank` has computed it.
     """
 
     __slots__ = ("rows", "cols", "field", "entries", "_rank")
@@ -351,27 +352,22 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.field = field
+        self.entries = {} if entries is None else entries
         self._rank = None
-        ent = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ShapeMismatch("entry (%d,%d) outside %dx%d" % (i, j, rows, cols))
-                if v:
-                    ent[(i, j)] = v
-        self.entries = ent
 
     @classmethod
     def from_rows(cls, data, field):
+        """A dense list of rows; ints and Fractions are mapped into
+        ``field``, and zeros are dropped."""
         rows = len(data)
         cols = len(data[0]) if rows else 0
         ent = {}
         for i, row in enumerate(data):
             for j, v in enumerate(row):
-                if not isinstance(v, (int, Fraction)):
+                if isinstance(v, (int, Fraction)):
+                    v = field.from_fraction(v)
+                if v:
                     ent[(i, j)] = v
-                elif v:
-                    ent[(i, j)] = field.from_fraction(v)
         return cls(rows, cols, field, ent)
 
     @classmethod
@@ -424,6 +420,11 @@ class Matrix:
     def transpose(self):
         return Matrix(self.cols, self.rows, self.field,
                       {(j, i): v for (i, j), v in self.entries.items()})
+
+    def select(self, keep):
+        """The entries at (i, j) with ``keep(i, j)`` true; the rest are zero."""
+        return Matrix(self.rows, self.cols, self.field,
+                      {k: v for k, v in self.entries.items() if keep(*k)})
 
     @property
     def shape(self):

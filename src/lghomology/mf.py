@@ -426,16 +426,12 @@ def _filtered_dims(hom, cap):
     windows = [_degree_window_matrix(d, 2 * cap)
                for d in (hom.d_even, hom.d_odd)]
 
-    def part(m, keep):
-        return Matrix(m.rows, m.cols, m.field,
-                      {e: v for e, v in m.entries.items() if keep(*e)})
-
     def one_side(out, into):
         a, col_degrees, _ = out
         low = sum(1 for g in col_degrees if g <= cap)
-        kernel_dim = low - rank(part(a, lambda i, j: col_degrees[j] <= cap))
+        kernel_dim = low - rank(a.select(lambda i, j: col_degrees[j] <= cap))
         full, _, row_degrees = into
-        high = part(full, lambda i, j: row_degrees[i] > cap)
+        high = full.select(lambda i, j: row_degrees[i] > cap)
         return kernel_dim - (rank(full) - rank(high))
 
     return one_side(*windows), one_side(*windows[::-1])

@@ -246,11 +246,6 @@ class Polynomial:
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
 
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.one / self.leading_coeff())
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: self.ring.order_key(mc[0]),
                       reverse=True)
@@ -449,9 +444,6 @@ class GroebnerBasis:
     def __hash__(self):
         return hash((self.ring, self.generators))
 
-    def leading_monomials(self):
-        return self.leads
-
     def __iter__(self):
         return iter(self.generators)
 
@@ -606,10 +598,13 @@ def buchberger(gens, ring=None):
 
 
 def is_zero_dimensional(gb):
-    """True iff the staircase is finite: each variable has a pure-power lead."""
+    """True iff the staircase is finite: each variable has a pure-power lead,
+    or a lead is 1 (the unit ideal, whose staircase is empty)."""
     pure = set()
     for m in gb.leads:
         support = [i for i, e in enumerate(m) if e]
+        if not support:
+            return True
         if len(support) == 1:
             pure.add(support[0])
     return len(pure) == gb.ring.nvars
@@ -624,7 +619,8 @@ def standard_monomials(gb):
     multiple of a lead: the staircase is closed under division, so every
     standard monomial is reached through standard ones.  Raising x_i in a
     standard monomial m gives a multiple of a lead only if that lead's
-    x_i-exponent is m_i + 1, so only those leads are tested.
+    x_i-exponent is m_i + 1, so only those leads are tested.  The unit
+    ideal has the lead 1 and no standard monomial.
     """
     ring = gb.ring
     if not is_zero_dimensional(gb):
@@ -636,7 +632,8 @@ def standard_monomials(gb):
             if e:
                 at[i].setdefault(e, []).append(lead)
     out = []
-    stack = [(ring.zero_mono(), 0)]
+    one = ring.zero_mono()
+    stack = [] if one in gb.leads else [(one, 0)]
     while stack:
         mono, first = stack.pop()
         out.append(mono)

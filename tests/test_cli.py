@@ -8,10 +8,9 @@ import pytest
 import lghomology.jacobi as jacobi
 import lghomology.koszul as koszul
 
-from lghomology.cli import (EXIT_ISOLATION, EXIT_MF_VERIFY, EXIT_PARSE,
-                            EXIT_SECTOR, EXIT_STABILIZATION, main,
-                            parse_model_file)
-from lghomology.errors import ParseError
+from lghomology.cli import main, parse_model_file
+from lghomology.errors import (FactorizationInvalid, NoStabilization,
+                               NonIsolated, NonIsolatedSector, ParseError)
 from lghomology.linalg import PRIME_BOUND
 from lghomology.poly import MAX_LITERAL_DIGITS, MAX_POWER_DEGREE
 
@@ -201,7 +200,7 @@ def test_malformed_mf_exits_parse(tmp_path, capsys, text):
         str(tmp_path / "missing.mf")
     code, out, err = run(capsys, ["mf", model, fact, "graded-audit",
                                   "--format", "machine"])
-    assert code == EXIT_PARSE and out == ""
+    assert code == ParseError.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
 
 
@@ -212,27 +211,27 @@ def test_malformed_mf_exits_parse(tmp_path, capsys, text):
 def test_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.lg", "variables x\npotential x^\n")
     code, _, err = run(capsys, ["jacobi", path])
-    assert code == EXIT_PARSE
+    assert code == ParseError.exit_code
     assert "error" in err
 
 
 def test_unknown_keyword_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.lg", "variabels x\npotential x^2\n")
     code, _, err = run(capsys, ["jacobi", path])
-    assert code == EXIT_PARSE
+    assert code == ParseError.exit_code
 
 
 def test_isolation_exit_code(tmp_path, capsys):
     path = write(tmp_path, "ni.lg", NONISOLATED)
     code, _, err = run(capsys, ["jacobi", path, "--require-isolated"])
-    assert code == EXIT_ISOLATION
+    assert code == NonIsolated.exit_code
 
 
 def test_mf_verify_exit_code(tmp_path, capsys):
     model = write(tmp_path, "x3.lg", X3)
     fact = write(tmp_path, "bad.mf", MF_X3_BAD)
     code, _, err = run(capsys, ["mf", model, fact, "verify"])
-    assert code == EXIT_MF_VERIFY
+    assert code == FactorizationInvalid.exit_code
 
 
 @pytest.mark.parametrize("text", [
@@ -245,7 +244,7 @@ def test_mf_ext_verifies_the_factorization(tmp_path, capsys, text):
     fact = write(tmp_path, "q.mf", text)
     code, out, err = run(capsys, ["mf", model, fact, "ext",
                                   "--format", "machine"])
-    assert code == EXIT_MF_VERIFY and out == ""
+    assert code == FactorizationInvalid.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
 
 
@@ -254,7 +253,7 @@ def test_stabilization_exit_code(tmp_path, capsys):
     fact = write(tmp_path, "x3.mf", MF_X3)
     code, _, err = run(capsys, ["mf", model, fact, "ext", "--method",
                                 "truncate", "--bound", "2"])
-    assert code == EXIT_STABILIZATION
+    assert code == NoStabilization.exit_code
     assert "error" in err and "Traceback" not in err
 
 
@@ -267,7 +266,7 @@ group order 2 weights 0 1
 """
     path = write(tmp_path, "sec.lg", src)
     code, _, err = run(capsys, ["orbifold", path])
-    assert code == EXIT_SECTOR
+    assert code == NonIsolatedSector.exit_code
 
 
 @pytest.mark.parametrize("command, text", [
@@ -299,6 +298,9 @@ group order 2 weights 0 1
     (["jacobi"], "variables x\npotential 3\n"),
     (["jacobi"], "variables x\npotential 0\n"),
     (["jacobi"], None),
+    (["jacobi"], "variables x\npotential x^3\npotential x^2\n"),
+    (["jacobi"], "field rational\nvariables x\nfield prime 5\n"
+     "potential x^3\n"),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
         "carrier-length", "carrier-power-0", "overlong-literal",
@@ -306,14 +308,30 @@ group order 2 weights 0 1
         "window-maxr-negative", "window-maxr-0", "weight-not-integer",
         "empty-variables", "group-weights-not-integers",
         "carrier-power-not-integer", "constant-potential", "zero-potential",
-        "missing-file"])
+        "missing-file", "repeated-potential", "repeated-field"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     # no text means the model path does not exist
     path = write(tmp_path, "bad.lg", text) if text is not None else \
         str(tmp_path / "missing.lg")
     code, out, err = run(capsys, [command[0], path] + command[1:])
-    assert code == EXIT_PARSE and out == ""
+    assert code == ParseError.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def test_model_and_factorization_files_read_lines_alike(tmp_path, capsys):
+    # comment-only and blank lines are skipped but counted in line numbers
+    model = "# x^3\n\nvariables x  # one variable\n   \npotential x^3\n"
+    fact = "\n# x^3 = x * x^2\nP0 x  # first factor\n\nP1 x^2\n"
+    paths = write(tmp_path, "c.lg", model), write(tmp_path, "c.mf", fact)
+    code, out, _ = run(capsys, ["mf", *paths, "verify", "--format", "machine"])
+    assert code == 0 and json.loads(out)["verified"] is True
+    lg = write(tmp_path, "d.lg", model + "potential x\n")
+    mf = write(tmp_path, "d.mf", fact + "P0 x\n")
+    for argv, key in [(["jacobi", lg], "potential"),
+                      (["mf", paths[0], mf, "verify"], "P0")]:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (ParseError.exit_code, "")
+        assert err == "error: duplicate %r line (line 6)\n" % key
 
 
 def test_repeated_bm_degree_exits_parse(tmp_path, capsys):
@@ -322,7 +340,7 @@ def test_repeated_bm_degree_exits_parse(tmp_path, capsys):
                  "window degrees=3,3\n")
     code, out, err = run(capsys, ["hh", path, "--variant", "bm",
                                   "--format", "machine"])
-    assert code == EXIT_PARSE and out == ""
+    assert code == ParseError.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
 
 
@@ -333,11 +351,11 @@ def test_window_below_one_is_rejected(tmp_path, capsys):
     for window in (0, 1, 2, 3):
         code, _, err = run(capsys, ["hh", path, "--variant", "ordinary",
                                     "--window", str(window)])
-        assert code == EXIT_PARSE and "Traceback" not in err
+        assert code == ParseError.exit_code and "Traceback" not in err
         path_w = write(tmp_path, "x2w.lg",
                        X2_FINITE + "window tensor=%d\n" % window)
         code, _, err = run(capsys, ["hh", path_w, "--variant", "ordinary"])
-        assert code == EXIT_PARSE and "Traceback" not in err
+        assert code == ParseError.exit_code and "Traceback" not in err
 
 
 @pytest.mark.parametrize("potential", [
@@ -355,7 +373,7 @@ def test_exponent_bomb_is_refused_at_parse_time(tmp_path, capsys, potential):
     start = time.perf_counter()
     code, _, err = run(capsys, ["jacobi", path])
     assert time.perf_counter() - start < 0.5
-    assert code == EXIT_PARSE
+    assert code == ParseError.exit_code
     assert "error" in err and "Traceback" not in err
 
 
@@ -365,7 +383,7 @@ def test_exponent_bomb_is_refused_at_parse_time(tmp_path, capsys, potential):
 def test_deep_nesting_is_refused_at_parse_time(tmp_path, capsys, potential):
     path = write(tmp_path, "deep.lg", "variables x\npotential %s\n" % potential)
     code, out, err = run(capsys, ["jacobi", path, "--format", "machine"])
-    assert code == EXIT_PARSE and out == ""
+    assert code == ParseError.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
 
 
@@ -378,7 +396,7 @@ def test_huge_prime_is_refused_fast(tmp_path, capsys, prime):
     start = time.perf_counter()
     code, _, err = run(capsys, ["jacobi", path])
     assert time.perf_counter() - start < 0.5
-    assert code == EXIT_PARSE
+    assert code == ParseError.exit_code
     assert "error" in err and "Traceback" not in err
 
 
@@ -392,7 +410,7 @@ def test_oversized_ordinary_window_is_refused_first(tmp_path, capsys, powers):
     code, out, err = run(capsys, ["hh", path, "--variant", "ordinary",
                                   "--format", "machine"])
     assert time.perf_counter() - start < 0.5
-    assert code == EXIT_STABILIZATION and out == ""
+    assert code == NoStabilization.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
 
 
@@ -405,8 +423,34 @@ def test_oversized_bm_degrees_are_refused_first(tmp_path, capsys, degrees):
     code, out, err = run(capsys, ["hh", path, "--variant", "bm",
                                   "--format", "machine"])
     assert time.perf_counter() - start < 1.0
-    assert code == EXIT_STABILIZATION and out == ""
+    assert code == NoStabilization.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["jacobi"], {"isolated": True, "milnor": 0, "graded_dims": {},
+                  "canonical_dims": {}}),
+    (["hh", "--variant", "bm"], {"dims_per_degree": {}, "total": 0}),
+    (["hh", "--variant", "compact-cohomology"], {"total": 0}),
+    (["koszul"], {"concentrated": True, "homology": {}}),
+    (["orbifold"], {"total": 0, "sectors": {
+        "(0,)": {"fixed_vars": [0, 1], "classes": 0, "invariant": 0,
+                 "parity": 0},
+        "(1,)": {"fixed_vars": [0], "classes": 0, "invariant": 0,
+                 "parity": 1}}}),
+], ids=["jacobi", "hh-bm", "hh-compact-cohomology", "koszul", "orbifold"])
+def test_potential_without_critical_points(tmp_path, capsys, command,
+                                           expected):
+    # the partials 1 and 2y generate the unit ideal: the Jacobi ring is 0,
+    # so the singularity is isolated with Milnor number 0 and every
+    # homology that the ring or its sectors carry is 0
+    path = write(tmp_path, "unit.lg", "variables x:2 y:1\npotential x + y^2\n"
+                 "group order 2 weights 0 1\n")
+    code, out, err = run(capsys, [command[0], path] + command[1:]
+                         + ["--format", "machine"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert {key: doc[key] for key in expected} == expected
 
 
 # ---------------------------------------------------------------------------

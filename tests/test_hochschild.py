@@ -690,6 +690,6 @@ def test_graded_points_parities():
 
 
 def test_homology_reports_do_not_share_their_default_dict():
-    a, b = HomologyReport("ordinary", {}), HomologyReport("ordinary", {})
+    a, b = HomologyReport({}), HomologyReport({})
     a.stabilization[0] = 2
     assert b.stabilization == {}

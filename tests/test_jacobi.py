@@ -5,11 +5,10 @@ import pytest
 from conftest import make_model
 from lghomology.errors import NonHomogeneous, NonIsolated, ZeroPotentialGradient
 from lghomology.jacobi import (INFINITE, LGModel, canonical_module,
-                               expected_weighted_milnor,
-                               has_isolated_critical_points, jacobi_data,
-                               milnor_number, socle_degree)
+                               expected_weighted_milnor, jacobi_data,
+                               socle_degree)
 from lghomology.linalg import PrimeField
-from lghomology.poly import PolyRing, parse_polynomial
+from lghomology.poly import PolyRing, is_zero_dimensional, parse_polynomial
 
 
 def test_fermat_quartic_milnor_and_middle_dims():
@@ -33,14 +32,15 @@ def test_lg_model_is_a_value_type():
 
 
 def test_univariate_powers():
-    assert milnor_number(make_model("x^3", "x")) == 2
-    assert milnor_number(make_model("x^2", "x")) == 1
+    assert jacobi_data(make_model("x^3", "x")).milnor == 2
+    assert jacobi_data(make_model("x^2", "x")).milnor == 1
 
 
 def test_non_isolated_detected():
     model = make_model("x^2*y", "xy")
-    assert not has_isolated_critical_points(model)
-    assert milnor_number(model) is INFINITE
+    data = jacobi_data(model)
+    assert not is_zero_dimensional(data.ideal)
+    assert data.milnor is INFINITE
     with pytest.raises(NonIsolated):
         canonical_module(model)
 
@@ -55,7 +55,7 @@ def test_product_formula_oracle_agrees():
     ]
     for src, names, weights in cases:
         model = make_model(src, names, weights)
-        assert milnor_number(model) == expected_weighted_milnor(model)
+        assert jacobi_data(model).milnor == expected_weighted_milnor(model)
 
 
 def test_canonical_module_shift_and_parity():
@@ -102,4 +102,4 @@ def test_milnor_agrees_with_sympy_quotient():
             if not any(sympy.div(mono, lt, x, y)[1] == 0 for lt in leads):
                 count += 1
     model = make_model("x^3+x*y^3", "xy")
-    assert milnor_number(model) == count
+    assert jacobi_data(model).milnor == count

@@ -316,3 +316,76 @@ def test_settle_raises_when_the_values_run_out(values):
 def test_settle_is_a_heuristic_that_misses_a_late_class():
     # Two agreeing windows are accepted even when a later window differs.
     assert settle(iter([(1, 0), (2, 0), (3, 1), (4, 1)]), "unused") == (0, 2)
+
+
+def _library_matrices(field):
+    """(name, matrix) for every kind of matrix the library builds, on small
+    inputs over ``field``."""
+    from conftest import make_model
+    from lghomology.hochschild import (ChainWindow, CochainWindow,
+                                       FiniteCurvedAlgebra, _bm_differential,
+                                       homotopy)
+    from lghomology.koszul import contract_dW, hkr_split, wedge_dW
+    from lghomology.mf import PolyMatrix, _degree_window_matrix
+    from lghomology.orbifold import GroupAction, cross_product, psi_matrices
+    from lghomology.poly import parse_polynomial
+    one, two = field.one, field.from_int(2)
+    alg = FiniteCurvedAlgebra.truncated((2, 3), {(1, 0): one, (0, 2): two},
+                                        field)
+    for normalized in (True, False):
+        win = ChainWindow(alg, 3, normalized=normalized)
+        for k in range(1, 4):
+            yield "boundary_minus", win.boundary_minus(k)
+            yield "boundary_plus", win.boundary_plus(k - 1)
+    win = ChainWindow(alg, 3, normalized=False)
+    for k in range(4):
+        # L is dual to x, basis element 3 = (1, 0), so L(W) = 1
+        yield "homotopy", homotopy(win, {3: one}, k)
+    cwin = CochainWindow(alg, 3)
+    for i in range(3):
+        yield "d_mult", cwin.d_mult(i)
+        yield "d_curv", cwin.d_curv(i + 1)
+    # 3x^2 y^2 vanishes over GF(3): the sums cancel there
+    model = make_model("x^4+x^3*y+3*x^2*y^2+y^4", "xy", field=field)
+    for n in range(2, 5):
+        yield "_bm_differential", _bm_differential(model, n, 6)
+    for k in range(3):
+        yield "contract_dW", contract_dW(model, k, 2)
+        yield "wedge_dW", wedge_dW(model, k, 2)
+        yield "hkr_split", hkr_split(model, k, 3)
+    ring = model.ring
+
+    def P(src):
+        return parse_polynomial(src, ring)
+    pm = PolyMatrix(ring, [[P("x"), P("y")], [P("3*y^2"), P("x^3-x^3")]])
+    yield "_degree_window_matrix", _degree_window_matrix(pm, 3)[0]
+    # a group of order d acts over Q(zeta_d), the trivial group over any field
+    order = getattr(field, "d", 1)
+    cp = cross_product(GroupAction.cyclic(order, (1,)), (4,), {(3,): 1},
+                       field=field)
+    _win, _sectors, psi = psi_matrices(cp, 2)
+    for blocks in psi.values():
+        for m in blocks.values():
+            yield "psi_matrices", m
+    a = win.boundary_minus(2)
+    b = win.boundary_minus(3)
+    for name, m in [("@", a @ b), ("+", a + a), ("+ cancelling", a - a),
+                    ("scale", a.scale(two)), ("scale by 0", a.scale(field.zero)),
+                    ("transpose", a.transpose())]:
+        yield name, m
+    yield "from_rows", Matrix.from_rows(
+        [[field.zero, one, 0], [field.from_int(3), Fraction(0), two]], field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), CyclotomicField(3)],
+                         ids=["Q", "GF3", "Qzeta3"])
+def test_built_matrices_keep_the_sparse_invariant(field):
+    """Matrix stores its entries as given, so every builder must keep them
+    inside the shape and nonzero."""
+    nonzero = 0
+    for name, m in _library_matrices(field):
+        for (i, j), v in m.entries.items():
+            assert 0 <= i < m.rows and 0 <= j < m.cols, name
+            assert v and v in field, name
+        nonzero += len(m.entries)
+    assert nonzero

@@ -260,9 +260,17 @@ def _groebner_case(data, modulus, nvars=None, top=2, most=3):
     polys = [p for p in polys if p]
     assume(polys)
     gb = buchberger(polys, ring)
-    assert gb.leading_monomials() == tuple(
+    assert gb.leads == tuple(
         g.leading_monomial() for g in gb.generators)
     return [dict(g.terms) for g in gb], _sympy_basis(polys, ring)
+
+
+def test_unit_ideal_has_an_empty_staircase():
+    gb = buchberger([parse_polynomial("x+1", RING),
+                     parse_polynomial("x", RING)], RING)
+    assert gb.leads == (RING.zero_mono(),)
+    assert is_zero_dimensional(gb)
+    assert standard_monomials(gb) == []
 
 
 @settings(max_examples=40, deadline=None)
