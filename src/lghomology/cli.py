@@ -8,10 +8,11 @@ its arguments; ``#`` starts a comment.  Recognized keywords:
     potential <expression>
     group order D weights w1 ... wn       (optional)
     carrier truncated p1 ... pn           (optional finite carrier)
-    window tensor=N maxr=R degrees=d1,d2  (optional truncation data)
+    window tensor=N degrees=d1,d2         (optional truncation data)
 
-Borel-Moore homology is exact at one shift, so ``maxr`` is accepted, checked
-to be at least 1, and otherwise ignored.
+``window tensor=`` is the one setting of the ordinary-HH tensor window
+(default ``DEFAULT_TENSOR_WINDOW``, at least ``MIN_TENSOR_WINDOW``);
+``window degrees=`` picks the internal degrees Borel-Moore HH reports.
 
 Factorization files use ``P0`` / ``P1`` lines with rows separated by ``;``
 and entries by ``,``, plus optional ``twists0`` / ``twists1`` integer lists.
@@ -33,7 +34,8 @@ from fractions import Fraction
 from math import prod
 
 from .errors import FactorizationInvalid, LGError, NonIsolated, ParseError
-from .hochschild import (FiniteCurvedAlgebra, check_window, hh_bm_graded,
+from .hochschild import (DEFAULT_TENSOR_WINDOW, MIN_TENSOR_WINDOW,
+                         FiniteCurvedAlgebra, check_window, hh_bm_graded,
                          hh_ordinary)
 from .jacobi import (INFINITE, LGModel, canonical_data, canonical_module,
                      jacobi_data, socle_degree)
@@ -43,10 +45,6 @@ from .poly import PolyRing, parse_polynomial
 
 SCHEMA_VERSION = 1
 
-# hh_ordinary settles parity 1 on caps 1, 3, ... below the tensor window and
-# needs two of them, so a smaller window can never settle.
-MIN_TENSOR_WINDOW = 4
-
 
 # ---------------------------------------------------------------------------
 # Model files
@@ -55,7 +53,6 @@ MIN_TENSOR_WINDOW = 4
 class ModelFile:
     def __init__(self):
         self.field = QQ
-        self.field_desc = "rational"
         self.names = None
         self.weights = None
         self.potential_src = None
@@ -116,14 +113,12 @@ def parse_model_file(text):
         if key == "field":
             toks = rest.split()
             if toks == ["rational"]:
-                mf.field, mf.field_desc = QQ, "rational"
+                mf.field = QQ
             elif len(toks) == 2 and toks[0] == "prime":
                 try:
-                    p = int(toks[1])
-                    mf.field = PrimeField(p)
+                    mf.field = PrimeField(int(toks[1]))
                 except ValueError as exc:
                     raise ParseError("bad prime (line %d): %s" % (lineno, exc))
-                mf.field_desc = "prime %d" % p
             else:
                 raise ParseError("bad field spec (line %d)" % lineno)
         elif key == "variables":
@@ -181,12 +176,6 @@ def parse_model_file(text):
                         raise ParseError("window tensor must be at least %d "
                                          "(line %d)"
                                          % (MIN_TENSOR_WINDOW, lineno))
-                elif name == "maxr":
-                    # validated as before, so the same files load, then
-                    # ignored: BM homology is exact at one shift
-                    if _window_int(name, val, lineno) < 1:
-                        raise ParseError("window maxr must be at least 1 "
-                                         "(line %d)" % lineno)
                 elif name == "degrees":
                     degrees = [_window_int(name, v, lineno)
                                for v in val.split(",")]
@@ -202,13 +191,16 @@ def parse_model_file(text):
     return mf
 
 
-def load_model_file(path):
+def _read(path):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
-    return parse_model_file(text)
+
+
+def load_model_file(path):
+    return parse_model_file(_read(path))
 
 
 def parse_mf_file(text, ring):
@@ -243,12 +235,7 @@ def parse_mf_file(text, ring):
 
 def load_mf_file(path, model):
     from .mf import MatrixFactorization
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc))
-    data = parse_mf_file(text, model.ring)
+    data = parse_mf_file(_read(path), model.ring)
     # one twist per summand: E0 is the source of P0, E1 its target
     for key, need in (("twists0", data["P0"].ncols),
                       ("twists1", data["P0"].nrows)):
@@ -282,25 +269,24 @@ def _key(k):
     return str(k)
 
 
-def emit(report, fmt, elapsed, out=None):
-    out = out or sys.stdout
+def emit(report, fmt, elapsed):
     if fmt == "machine":
         doc = dict(report)
         doc["schema_version"] = SCHEMA_VERSION
         print(json.dumps(_jsonable(doc), sort_keys=True,
-                         separators=(",", ":")), file=out)
+                         separators=(",", ":")))
         return
-    print("command: %s" % report.get("command"), file=out)
+    print("command: %s" % report.get("command"))
     for key, value in report.items():
         if key == "command":
             continue
         if isinstance(value, dict):
-            print("%s:" % key, file=out)
+            print("%s:" % key)
             for k in sorted(value, key=str):
-                print("  %-16s %s" % (k, value[k]), file=out)
+                print("  %-16s %s" % (k, value[k]))
         else:
-            print("%s: %s" % (key, value), file=out)
-    print("elapsed: %.3fs" % elapsed, file=out)
+            print("%s: %s" % (key, value))
+    print("elapsed: %.3fs" % elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +326,8 @@ def cmd_hh(args):
         check_window(prod(mf.carrier), MIN_TENSOR_WINDOW)
         carrier = FiniteCurvedAlgebra.truncated(
             mf.carrier, model.potential.terms, model.ring.field)
-        window = args.window if args.window is not None else \
-            mf.window.get("tensor", 10)
-        if window < MIN_TENSOR_WINDOW:
-            raise ParseError("--window must be at least %d"
-                             % MIN_TENSOR_WINDOW)
-        rep = hh_ordinary(carrier, max_tensor=window)
+        rep = hh_ordinary(carrier, mf.window.get("tensor",
+                                                 DEFAULT_TENSOR_WINDOW))
         return {
             "command": "hh",
             "variant": "ordinary",
@@ -374,19 +356,18 @@ def cmd_hh(args):
             "odd_total": by_parity[1],
             "total": by_parity[0] + by_parity[1],
         }
-    if args.variant == "compact-cohomology":
-        data = jacobi_data(model)
-        if data.milnor is INFINITE:
-            raise NonIsolated("critical points are not isolated")
-        return {
-            "command": "hh",
-            "variant": "compact-cohomology",
-            "potential": mf.potential_src,
-            "dims_per_degree": dict(data.dims.dims),
-            "parity": "even",
-            "total": data.milnor,
-        }
-    raise ParseError("unknown variant %r" % args.variant)
+    # argparse's choices leave compact-cohomology
+    data = jacobi_data(model)
+    if data.milnor is INFINITE:
+        raise NonIsolated("critical points are not isolated")
+    return {
+        "command": "hh",
+        "variant": "compact-cohomology",
+        "potential": mf.potential_src,
+        "dims_per_degree": dict(data.dims.dims),
+        "parity": "even",
+        "total": data.milnor,
+    }
 
 
 def cmd_mf(args):
@@ -404,15 +385,14 @@ def cmd_mf(args):
         method = args.method
         if method is None:
             method = "smith" if model.ring.nvars == 1 else "truncate"
-        even, odd = ext_dims(fact, fact, method=method, bound=args.bound)
+        even, odd = ext_dims(fact, fact, method=method)
         return {"command": "mf", "action": "ext", "method": method,
                 "even": even, "odd": odd}
-    if args.action == "graded-audit":
-        return {"command": "mf", "action": "graded-audit", "verified": True,
-                "graded_degrees": verify_graded_degrees(fact),
-                "twists0": list(fact.twists0 or []),
-                "twists1": list(fact.twists1 or [])}
-    raise ParseError("unknown mf action %r" % args.action)
+    # argparse's choices leave graded-audit
+    return {"command": "mf", "action": "graded-audit", "verified": True,
+            "graded_degrees": verify_graded_degrees(fact),
+            "twists0": list(fact.twists0 or []),
+            "twists1": list(fact.twists1 or [])}
 
 
 def cmd_orbifold(args):
@@ -480,7 +460,6 @@ def build_parser():
     p.add_argument("--variant",
                    choices=("ordinary", "bm", "compact-cohomology"),
                    default="bm")
-    p.add_argument("--window", type=int, default=None)
     p.set_defaults(func=cmd_hh)
 
     p = sub.add_parser("mf", parents=[common], help="matrix factorization checks")
@@ -488,7 +467,6 @@ def build_parser():
     p.add_argument("factorization")
     p.add_argument("action", choices=("verify", "ext", "graded-audit"))
     p.add_argument("--method", choices=("smith", "truncate"), default=None)
-    p.add_argument("--bound", type=int, default=12)
     p.set_defaults(func=cmd_mf)
 
     p = sub.add_parser("orbifold", parents=[common], help="orbifold sector invariants")

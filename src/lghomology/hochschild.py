@@ -3,9 +3,11 @@
 Chains are normalized by default: slots after the zeroth are drawn from a
 complement of the unit.  The boundary splits as a tensor-degree-lowering
 part (multiplications, with the wrap-around term) and a raising part
-(insertions of the curvature element).  Ordinary homology is computed on
-finite windows of the associated bicomplex and accepted once two
-consecutive windows agree, a heuristic applied by ``linalg.settle``.
+(insertions of the curvature element).  Ordinary homology is read on
+finite windows of the associated bicomplex up to the first two
+consecutive windows that agree (``linalg.settle``), and that value is
+certified: the contracting homotopy is verified on the last window, and
+the value must be the 0 of the vanishing theorem.
 Borel-Moore homology is read at one shift of the first-quadrant complex,
 which is exact by the Hochschild-Kostant-Rosenberg argument in
 ``hh_bm_graded``; nothing settles it.
@@ -256,6 +258,10 @@ class FiniteCurvedAlgebra:
 # of dimension 16 the window up to tensor degree 4 holds 0.87 million and
 # takes about 270 MB to build; over dimension 25 it holds 8.7 million.
 MAX_WINDOW_TENSORS = 10 ** 6
+# ``hh_ordinary`` settles parity 1 on caps 1, 3, ... below its tensor window
+# and needs two of them, so a smaller window can never settle.
+MIN_TENSOR_WINDOW = 4
+DEFAULT_TENSOR_WINDOW = 10
 
 
 def check_window(dim, max_tensor):
@@ -519,7 +525,7 @@ def _total(src, dst, dims, block, field):
     return Matrix(nrows, ncols, field, ent)
 
 
-def hh_ordinary(algebra, max_tensor=10):
+def hh_ordinary(algebra, max_tensor=DEFAULT_TENSOR_WINDOW):
     """Parity-graded homology of the direct-sum total complex, windowed.
 
     ``differential(cap)`` maps the tensor degrees of parity cap % 2 up to
@@ -531,6 +537,12 @@ def hh_ordinary(algebra, max_tensor=10):
     Enlarging M by two adds one column, and a value is accepted once two
     consecutive caps of its parity agree (``settle``), so nothing past the
     cap that settles is built.
+
+    The settled values are then certified.  ``_contract`` verifies the
+    contracting homotopy of the vanishing theorem, h.B + B.h = id, on the
+    window of the last differential, with L the dual of the first non-unit
+    basis element in W's support; and every settled value must be the 0 the
+    theorem gives.  Either failure raises ``AssertionError``.
 
     A curvature that is a multiple of the unit is refused with
     ``UnitCurvature`` before any window is built: the normalized chains
@@ -568,6 +580,11 @@ def hh_ordinary(algebra, max_tensor=10):
             islice(copy, parity, None, 2),
             "parity %d did not settle within tensor window %d"
             % (parity, max_tensor))
+    first = min(b for b in algebra.curvature if b != algebra.unit)
+    _contract(ChainWindow(algebra, max(stab.values()) + 1),
+              {first: algebra.field.one})
+    if any(out.values()):
+        raise AssertionError("ordinary HH settled at %r, not 0" % out)
     return HomologyReport(out, stab)
 
 

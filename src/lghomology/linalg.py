@@ -41,8 +41,9 @@ def settle(values, message):
 
     Accepting a value because two consecutive windows agree is a heuristic,
     not a proof: a class that first appears in a larger window is missed.
-    It decides only the two windowed computations left, ordinary HH
-    (``hh_ordinary``) and the ``truncate`` Ext method; Borel-Moore HH is
+    The one answer it decides alone is the ``truncate`` Ext method.
+    Ordinary HH (``hh_ordinary``) also stops where it settles, then
+    certifies the value by the contracting homotopy, and Borel-Moore HH is
     read at one shift, proven exact (``hh_bm_graded``).
     """
     prev = object()     # equal to no value

@@ -249,12 +249,14 @@ def test_mf_ext_verifies_the_factorization(tmp_path, capsys, text):
 
 
 def test_stabilization_exit_code(tmp_path, capsys):
-    model = write(tmp_path, "x3.lg", X3)
-    fact = write(tmp_path, "x3.mf", MF_X3)
+    # x^2*y is not isolated, so the Ext of x * xy is infinite and no cap
+    # up to ext_dims's default of 12 settles
+    model = write(tmp_path, "ni.lg", NONISOLATED)
+    fact = write(tmp_path, "ni.mf", "P0 x\nP1 x*y\n")
     code, _, err = run(capsys, ["mf", model, fact, "ext", "--method",
-                                "truncate", "--bound", "2"])
+                                "truncate"])
     assert code == NoStabilization.exit_code
-    assert "error" in err and "Traceback" not in err
+    assert err == "error: ext dims did not settle below cap 12\n"
 
 
 def test_sector_exit_code(tmp_path, capsys):
@@ -301,6 +303,7 @@ group order 2 weights 0 1
     (["jacobi"], "variables x\npotential x^3\npotential x^2\n"),
     (["jacobi"], "field rational\nvariables x\nfield prime 5\n"
      "potential x^3\n"),
+    (["hh"], "variables x\npotential x^3\nwindow maxr=5\n"),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
         "carrier-length", "carrier-power-0", "overlong-literal",
@@ -308,7 +311,8 @@ group order 2 weights 0 1
         "window-maxr-negative", "window-maxr-0", "weight-not-integer",
         "empty-variables", "group-weights-not-integers",
         "carrier-power-not-integer", "constant-potential", "zero-potential",
-        "missing-file", "repeated-potential", "repeated-field"])
+        "missing-file", "repeated-potential", "repeated-field",
+        "window-maxr-5"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     # no text means the model path does not exist
     path = write(tmp_path, "bad.lg", text) if text is not None else \
@@ -347,15 +351,25 @@ def test_repeated_bm_degree_exits_parse(tmp_path, capsys):
 def test_window_below_one_is_rejected(tmp_path, capsys):
     # parity 1 settles on caps 1, 3, ... below the window, so windows 1-3
     # could never settle either
-    path = write(tmp_path, "x2.lg", X2_FINITE)
     for window in (0, 1, 2, 3):
-        code, _, err = run(capsys, ["hh", path, "--variant", "ordinary",
-                                    "--window", str(window)])
-        assert code == ParseError.exit_code and "Traceback" not in err
         path_w = write(tmp_path, "x2w.lg",
                        X2_FINITE + "window tensor=%d\n" % window)
         code, _, err = run(capsys, ["hh", path_w, "--variant", "ordinary"])
         assert code == ParseError.exit_code and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "x2.lg", "--variant", "ordinary", "--window", "8"],
+    ["mf", "x3.lg", "x3.mf", "ext", "--bound", "2"],
+], ids=["hh-window", "mf-ext-bound"])
+def test_removed_options_are_refused(capsys, argv):
+    # the model file's window tensor= and ext_dims's cap of 12 are the one
+    # setting of each value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("potential", [

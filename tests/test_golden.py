@@ -53,11 +53,8 @@ FILES = {
                 'potential x^2+y^2\n'),
     'x2y2.mf': ('P0 x, y; -y, x\n'
                 'P1 x, -y; y, x\n'),
-    'x7.lg': ('field rational\n'
-              'variables x\n'
-              'potential x^7\n'),
-    'x7.mf': ('P0 x\n'
-              'P1 x^6\n'),
+    'x2y.mf': ('P0 x\n'
+               'P1 x*y\n'),
     'bad.mf': ('P0 x\n'
                'P1 x^2\n'),
     'ord_fp.lg': ('field prime 101\n'
@@ -156,10 +153,9 @@ GOLDEN = [
      '{"action":"graded-audit","command":"mf","graded_degrees":true,"s'
      'chema_version":1,"twists0":[0],"twists1":[2],"verified":true}\n',
      ''),
-    (['mf', 'x7.lg', 'x7.mf', 'ext', '--method', 'truncate', '--bound',
-      '2'], 4,
+    (['mf', 'nonisolated.lg', 'x2y.mf', 'ext', '--method', 'truncate'], 4,
      '',
-     'error: ext dims did not settle below cap 2\n'),
+     'error: ext dims did not settle below cap 12\n'),
     (['jacobi', 'nonisolated.lg', '--require-isolated'], 3,
      '',
      'error: critical points are not isolated\n'),
@@ -193,7 +189,7 @@ GOLDEN = [
      'error: window tensor must be at least 4 (line 5)\n'),
     (['hh', 'bm0.lg', '--variant', 'bm'], 2,
      '',
-     'error: window maxr must be at least 1 (line 4)\n'),
+     "error: unknown window key 'maxr' (line 4)\n"),
     (['hh', 'ord_xy.lg', '--variant', 'ordinary'], 0,
      '{"command":"hh","dims":{"even":0,"odd":0},"potential":"3*x*y","s'
      'chema_version":1,"stabilized_at":{"0":2,"1":3},"variant":"ordina'

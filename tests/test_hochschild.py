@@ -422,6 +422,51 @@ def test_ordinary_rejects_flat_algebra():
         hh_ordinary(alg)
 
 
+CERTIFIED_CARRIERS = [
+    ((3,), {(2,): 3}, QQ), ((4,), {(2,): 5}, QQ),
+    ((4,), {(2,): 1, (3,): 2}, QQ), ((2, 3), {(1, 1): 1}, QQ),
+    ((3, 3), {(2, 0): 1, (0, 2): -1}, QQ),
+    ((4,), {(2,): 3}, PrimeField(7)),
+    ((4,), {(0,): 1, (2,): 1}, QQ), ((3,), {(0,): 1, (1,): 2}, QQ)]
+
+
+@pytest.mark.parametrize("powers, curvature, field", CERTIFIED_CARRIERS,
+                         ids=["x3-3x2", "x4-5x2", "x4-x2+2x3", "x2y3-xy",
+                              "x3y3-x2-y2", "x4-3x2-gf7", "x4-1+x2",
+                              "x3-1+2x"])
+def test_ordinary_certifies_its_zero_by_the_homotopy(monkeypatch, powers,
+                                                     curvature, field):
+    import lghomology.hochschild as hochschild
+    real = hochschild._contract
+    contracted = []
+
+    def recorded(win, L):
+        contracted.append((win.max_tensor, win.unit, L))
+        return real(win, L)
+    monkeypatch.setattr(hochschild, "_contract", recorded)
+    alg = FiniteCurvedAlgebra.truncated(
+        powers, {m: field.from_int(c) for m, c in curvature.items()}, field)
+    rep = hh_ordinary(alg, max_tensor=8)
+    assert rep.dims == {0: 0, 1: 0}
+    first = min(b for b in alg.curvature if b != alg.unit)
+    # the normalized window of the last differential, L dual to a non-unit
+    assert contracted == [(max(rep.stabilization.values()) + 1, alg.unit,
+                           {first: field.one})]
+
+
+def test_ordinary_canary_a_wrong_homotopy_or_value_raises(monkeypatch):
+    import lghomology.hochschild as hochschild
+    real = hochschild.homotopy
+    with monkeypatch.context() as m:
+        m.setattr(hochschild, "homotopy",
+                  lambda win, L, k: -real(win, L, k))
+        with pytest.raises(AssertionError, match="homotopy identity fails"):
+            hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+    monkeypatch.setattr(hochschild, "homology_dim", lambda d_in, d_out: 1)
+    with pytest.raises(AssertionError, match="not 0"):
+        hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+
+
 # ---------------------------------------------------------------------------
 # Graded polynomial backend and Borel-Moore homology
 
