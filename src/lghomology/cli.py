@@ -293,9 +293,7 @@ def emit(report, fmt, elapsed):
 # Subcommands
 
 
-def cmd_jacobi(args):
-    mf = load_model_file(args.model)
-    model = mf.build()
+def cmd_jacobi(args, mf, model):
     data = jacobi_data(model)
     isolated = data.milnor is not INFINITE
     if args.require_isolated and not isolated:
@@ -315,9 +313,7 @@ def cmd_jacobi(args):
     return report
 
 
-def cmd_hh(args):
-    mf = load_model_file(args.model)
-    model = mf.build()
+def cmd_hh(args, mf, model):
     if args.variant == "ordinary":
         if mf.carrier is None:
             raise ParseError("the ordinary variant needs a carrier line")
@@ -370,10 +366,8 @@ def cmd_hh(args):
     }
 
 
-def cmd_mf(args):
+def cmd_mf(args, mf, model):
     from .mf import ext_dims, verify_graded_degrees, verify_mf
-    mf = load_model_file(args.model)
-    model = mf.build()
     fact = load_mf_file(args.factorization, model)
     if not verify_mf(fact):
         raise FactorizationInvalid(
@@ -395,9 +389,7 @@ def cmd_mf(args):
             "twists1": list(fact.twists1 or [])}
 
 
-def cmd_orbifold(args):
-    mf = load_model_file(args.model)
-    model = mf.build()
+def cmd_orbifold(args, mf, model):
     if mf.group is None:
         raise ParseError("orbifold command needs a group line")
     rep = orbifold_hh_bm(model, mf.group)
@@ -422,10 +414,8 @@ def cmd_orbifold(args):
     }
 
 
-def cmd_koszul(args):
+def cmd_koszul(args, mf, model):
     from . import koszul
-    mf = load_model_file(args.model)
-    model = mf.build()
     max_grade = socle_degree(model) + model.degree
     dims = koszul.koszul_homology_dims(model, max_grade)
     return {
@@ -484,7 +474,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        result = args.func(args)
+        mf = load_model_file(args.model)
+        result = args.func(args, mf, mf.build())
     except LGError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code

@@ -200,9 +200,10 @@ class FiniteCurvedAlgebra:
         """k[x_1..x_n]/(x_i^{p_i}), p = ``powers``, on its monomial basis.
 
         The basis is the exponent tuples below ``powers`` in
-        ``itertools.product`` order, so the unit is index 0.  The curvature
-        is given as {exponent tuple: scalar}; ``degrees``, if given, lists
-        the cohomological degree of each variable.
+        ``itertools.product`` order, listed in the result's ``monomials``,
+        so the unit is index 0.  The curvature is given as {exponent tuple:
+        scalar}; ``degrees``, if given, lists the cohomological degree of
+        each variable.
         """
         monos = list(iter_product(*(range(p) for p in powers)))
         index = {m: i for i, m in enumerate(monos)}
@@ -222,8 +223,10 @@ class FiniteCurvedAlgebra:
         if degrees is not None:
             degrees = [sum(e * d for e, d in zip(m, degrees)) for m in monos]
         # associative, unital and commutative by construction: no _check
-        return cls(len(monos), mult, curvature, unit=0, degrees=degrees,
-                   field=field, check=False)
+        alg = cls(len(monos), mult, curvature, unit=0, degrees=degrees,
+                  field=field, check=False)
+        alg.monomials = monos
+        return alg
 
     @classmethod
     def truncated_polynomial(cls, power, curvature_coeffs, field=QQ,

@@ -173,18 +173,27 @@ class PrimeField(Field):
 
 
 def _cyclotomic_coeffs(d):
-    """Coefficients of the d-th cyclotomic polynomial, low degree first."""
-    # x^d - 1 divided by the product of Phi_e for proper divisors e of d.
-    poly = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+    """Integer coefficients of the d-th cyclotomic polynomial, low degree
+    first: x^d - 1 divided exactly by the monic Phi_e of each proper
+    divisor e of d."""
+    poly = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e:
             continue
-        poly = _polydivmod(poly, _cyclotomic_coeffs(e))[0]
+        phi = _cyclotomic_coeffs(e)
+        top = len(phi) - 1
+        quotient = [0] * (len(poly) - top)
+        for i in reversed(range(len(quotient))):
+            c = quotient[i] = poly[i + top]
+            for j, b in enumerate(phi):
+                poly[i + j] -= c * b
+        poly = quotient
     return poly
 
 
 class CycElement:
-    """Element of Q(zeta_d), reduced modulo the cyclotomic polynomial."""
+    """Element of Q(zeta_d): rational coordinates on 1, zeta, ...,
+    zeta^(phi(d) - 1)."""
 
     __slots__ = ("coeffs", "field")
 
@@ -203,35 +212,34 @@ class CycElement:
 
     def __mul__(self, other):
         n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
+        prod = [0] * (2 * n - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 if b:
                     prod[i + j] += a * b
-        return CycElement(self.field._reduce(prod), self.field)
+        return self.field._power_sum(prod)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def inverse(self):
-        # Extended Euclid in Q[x] against the cyclotomic modulus.
-        mod = list(self.field.modulus)
-        a = list(self.coeffs)
-        r0, r1 = mod, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 = gcd (a constant, since the modulus is irreducible)
-        deg = _polydeg(r0)
-        if deg != 0:
+        # a^-1 = prod_j sigma_j(a) / N(a) over the units 1 < j < d, where
+        # sigma_j sends zeta to zeta^j and N(a) = a prod_j sigma_j(a) is
+        # rational.
+        field = self.field
+        conjugates = field.one
+        for j in range(2, field.d):
+            if gcd(j, field.d) == 1:
+                spread = [0] * field.d
+                for i, a in enumerate(self.coeffs):
+                    spread[i * j % field.d] = a
+                conjugates = conjugates * field._power_sum(spread)
+        norm = (self * conjugates).coeffs[0]
+        if not norm:
             raise ZeroDivisionError("element is zero in cyclotomic field")
-        c = r0[0]
-        inv = [x / c for x in s0]
-        return CycElement(self.field._reduce(inv), self.field)
+        return CycElement([c / norm for c in conjugates.coeffs], field)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -260,46 +268,13 @@ class CycElement:
         return " + ".join(parts) if parts else "0"
 
 
-def _polydeg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _polydivmod(a, b):
-    a = list(a)
-    db = _polydeg(b)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while _polydeg(a) >= db:
-        da = _polydeg(a)
-        c = a[da] / b[db]
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] -= c * b[j]
-    return q, a
-
-
 class CyclotomicField(Field):
-    """Q(zeta_d) with zeta a primitive d-th root of unity."""
+    """Q(zeta_d) with zeta a primitive d-th root of unity.
+
+    ``modulus`` is Phi_d, low degree first; ``_powers[k]`` holds the
+    coordinates of zeta^k for k < d, each row the one before times zeta,
+    with zeta^phi(d) replaced through the monic Phi_d.
+    """
 
     characteristic = 0
 
@@ -307,13 +282,24 @@ class CyclotomicField(Field):
         self.d = d
         self.modulus = _cyclotomic_coeffs(d)
         self.degree = len(self.modulus) - 1
+        row = [1] + [0] * (self.degree - 1)
+        self._powers = []
+        for _ in range(d):
+            self._powers.append(row)
+            top, row = row[-1], [0] + row[:-1]
+            row = [r - top * m for r, m in zip(row, self.modulus)]
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
 
-    def _reduce(self, coeffs):
-        _, rem = _polydivmod(list(coeffs) + [Fraction(0)], self.modulus)
-        rem = rem[: self.degree] + [Fraction(0)] * max(0, self.degree - len(rem))
-        return rem[: self.degree]
+    def _power_sum(self, coeffs):
+        """The element sum_k coeffs[k] zeta^k, for any k, since zeta^d = 1."""
+        out = [Fraction(0)] * self.degree
+        for k, c in enumerate(coeffs):
+            if c:
+                for i, r in enumerate(self._powers[k % self.d]):
+                    if r:
+                        out[i] += c * r
+        return CycElement(out, self)
 
     def from_int(self, n):
         return CycElement([Fraction(n)] + [Fraction(0)] * (self.degree - 1), self)
@@ -322,9 +308,7 @@ class CyclotomicField(Field):
         return CycElement([Fraction(q)] + [Fraction(0)] * (self.degree - 1), self)
 
     def zeta(self, power=1):
-        coeffs = [Fraction(0)] * max(self.degree, power % self.d + 1)
-        coeffs[power % self.d] = Fraction(1)
-        return CycElement(self._reduce(coeffs), self)
+        return CycElement(map(Fraction, self._powers[power % self.d]), self)
 
     def __repr__(self):
         return "QQ(zeta_%d)" % self.d

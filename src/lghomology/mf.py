@@ -437,7 +437,11 @@ def _filtered_dims(hom, cap):
     return one_side(*windows), one_side(*windows[::-1])
 
 
-def ext_dims(src, dst, method="smith", bound=12):
+# The largest degree cap the ``truncate`` Ext method tries.
+MAX_EXT_CAP = 12
+
+
+def ext_dims(src, dst, method="smith"):
     """(even, odd) cohomology dimensions of the Hom complex."""
     hom = hom_complex(src, dst)
     if method == "smith":
@@ -451,9 +455,11 @@ def ext_dims(src, dst, method="smith", bound=12):
         ring = src.model.ring
         # A cap with no monomial of its own degree repeats the window below
         # it, so agreeing with it would prove nothing.
-        caps = ((cap, _filtered_dims(hom, cap)) for cap in range(2, bound + 1)
+        caps = ((cap, _filtered_dims(hom, cap))
+                for cap in range(2, MAX_EXT_CAP + 1)
                 if ring.monomials_of_degree(cap))
-        return settle(caps, "ext dims did not settle below cap %d" % bound)[0]
+        return settle(caps, "ext dims did not settle below cap %d"
+                      % MAX_EXT_CAP)[0]
     raise MethodUnsupported("unknown method %r" % method)
 
 

@@ -71,13 +71,7 @@ class GroupAction:
 
     @property
     def order(self):
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
-
-    def char_zero(self):
-        return (0,) * len(self.orders)
+        return math.prod(self.orders)
 
     def char_add(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
@@ -87,7 +81,7 @@ class GroupAction:
 
     def monomial_character(self, mono):
         """Character exponents of a monomial under the diagonal action."""
-        out = self.char_zero()
+        out = self.identity
         for v, e in enumerate(mono):
             if e:
                 out = self.char_add(out, self.char_scale(self.weights[v], e))
@@ -100,12 +94,13 @@ class GroupAction:
         return sum(gi * ci * (L // d) for gi, ci, d
                    in zip(g, character, self.orders)) % L
 
-    def is_invariant(self, poly):
-        zero = self.char_zero()
-        return all(self.monomial_character(m) == zero for m in poly.terms)
+    def is_invariant(self, monomials):
+        """Whether every monomial, an exponent tuple, has trivial character."""
+        zero = self.identity
+        return all(self.monomial_character(m) == zero for m in monomials)
 
-    def require_invariant(self, poly):
-        if not self.is_invariant(poly):
+    def require_invariant(self, monomials):
+        if not self.is_invariant(monomials):
             raise NotInvariant("potential is not fixed by the action")
 
 
@@ -168,7 +163,7 @@ def sector_hh_bm(model, action, g):
     sub_ring, restricted = restrict_potential(model, fv)
     parity = len(fv) % 2
     if not fv:
-        return SectorReport(g, fv, None, [(0, action.char_zero())], 0)
+        return SectorReport(g, fv, None, [(0, action.identity)], 0)
     if restricted is None:
         raise NonIsolatedSector(
             "restricted potential vanishes on a positive-dimensional locus")
@@ -194,7 +189,7 @@ def coinvariant_dims(classes, action, field=QQ):
     if char and action.order % char == 0:
         raise BadCharacteristic(
             "group order %d is divisible by the characteristic" % action.order)
-    zero = action.char_zero()
+    zero = action.identity
     return sum(1 for _deg, c in classes if c == zero)
 
 
@@ -221,8 +216,8 @@ def orbifold_hh_bm(model, action):
     twisted-sector classes are placed in the middle column (half the socle
     degree), a convention following the quartic example.
     """
-    action.require_invariant(model.potential)
-    zero = action.char_zero()
+    action.require_invariant(model.potential.terms)
+    zero = action.identity
     sectors = []
     invariant_counts = {}
     combined = {}
@@ -259,12 +254,13 @@ def orbifold_hh_bm(model, action):
 class CrossProduct:
     """Cross product of k[x_i]/(x_i^{p_i}) with a diagonal abelian group.
 
-    Basis elements are pairs (exponent tuple, group element); products
-    follow (a # g)(b # h) = a (g.b) # gh with g acting by root-of-unity
-    scalars.  The curvature is W # identity.  Every such scalar is
-    ``roots[p]`` = zeta_L^p for an integer power p (``GroupAction.power``);
-    ``chars`` holds the character of each base monomial and ``fixed`` the
-    fixed locus of each group element.
+    Basis elements are pairs (exponent tuple, group element), the truncated
+    algebra's basis times the group, so (a # g) has index a's index times
+    |G| plus g's; products follow (a # g)(b # h) = a (g.b) # gh with g
+    acting by root-of-unity scalars.  The curvature is W # identity.  Every
+    such scalar is ``roots[p]`` = zeta_L^p for an integer power p
+    (``GroupAction.power``); ``chars`` holds the character of each base
+    monomial and ``fixed`` the fixed locus of each group element.
     """
 
     def __init__(self, action, powers, potential_terms, field=None):
@@ -280,7 +276,6 @@ class CrossProduct:
                             % (L, CyclotomicField(L), field))
         self.field = field
         self.roots = [field.one] + [field.zeta(p) for p in range(1, L)]
-        base = list(iter_product(*(range(p) for p in self.powers)))
         self.potential_terms = {}
         for m, c in potential_terms.items():
             if isinstance(c, (int, Fraction)):
@@ -290,34 +285,31 @@ class CrossProduct:
                                 % (c, field))
             if c:
                 self.potential_terms[tuple(m)] = c
-        for m in self.potential_terms:
-            if any(e >= p for e, p in zip(m, self.powers)):
-                raise ValueError("potential monomial exceeds the truncation")
-        w_poly_chars = {self.action.monomial_character(m)
-                        for m in self.potential_terms}
-        if w_poly_chars - {self.action.char_zero()}:
-            raise NotInvariant("potential is not fixed by the action")
+        # the truncation is checked first, then the invariance
+        base = FiniteCurvedAlgebra.truncated(self.powers, self.potential_terms,
+                                             field)
+        action.require_invariant(self.potential_terms)
 
         self.group = action.elements()
         self.fixed = {g: set(fixed_locus(action, g)) for g in self.group}
-        self.chars = {m: action.monomial_character(m) for m in base}
-        self.elements = [(m, g) for m in base for g in self.group]
+        self.chars = {m: action.monomial_character(m) for m in base.monomials}
+        self.elements = [(m, g) for m in base.monomials for g in self.group]
         self.index = {e: i for i, e in enumerate(self.elements)}
 
+        n = len(self.group)
+        slot = {g: s for s, g in enumerate(self.group)}
         mult = {}
-        for i, (a, g) in enumerate(self.elements):
-            for j, (b, h) in enumerate(self.elements):
-                prod = tuple(x + y for x, y in zip(a, b))
-                if any(e >= p for e, p in zip(prod, self.powers)):
-                    continue
-                k = self.index[(prod, action.char_add(g, h))]
-                mult[(i, j)] = {k: self.roots[action.power(g, self.chars[b])]}
-        curvature = {}
-        for m, c in self.potential_terms.items():
-            curvature[self.index[(m, action.identity)]] = c
-        unit = self.index[(tuple(0 for _ in self.powers), action.identity)]
+        for (i, j), prod in base.mult.items():
+            char = self.chars[base.monomials[j]]
+            for g in self.group:
+                root = self.roots[action.power(g, char)]
+                for h in self.group:
+                    mult[(i * n + slot[g], j * n + slot[h])] = {
+                        k * n + slot[action.char_add(g, h)]: c * root
+                        for k, c in prod.items()}
+        curvature = {i * n: c for i, c in base.curvature.items()}
         self.algebra = FiniteCurvedAlgebra(len(self.elements), mult, curvature,
-                                           unit=unit, field=field, check=True)
+                                           unit=0, field=field, check=True)
 
     def sector_algebra(self, g):
         """Curved algebra of the fixed subspace of g, over the same field.
@@ -327,11 +319,10 @@ class CrossProduct:
         from .hochschild import FiniteCurvedAlgebra
         fv = self.fixed[g]
         powers = [p if v in fv else 1 for v, p in enumerate(self.powers)]
-        keep = list(iter_product(*(range(p) for p in powers)))
-        idx = {m: i for i, m in enumerate(keep)}
-        curvature = {m: c for m, c in self.potential_terms.items() if m in idx}
+        curvature = {m: c for m, c in self.potential_terms.items()
+                     if all(e < p for e, p in zip(m, powers))}
         alg = FiniteCurvedAlgebra.truncated(powers, curvature, self.field)
-        return alg, keep, idx
+        return alg, alg.monomials, {m: i for i, m in enumerate(alg.monomials)}
 
 
 def cross_product(action, powers, potential_terms, field=None):
@@ -353,12 +344,12 @@ def psi_map(cp, chain):
     """
     action = cp.action
     elems = [cp.elements[i] for i in chain]
-    g_total = action.char_zero()
+    g_total = action.identity
     for _m, g in elems:
         g_total = action.char_add(g_total, g)
     fv = cp.fixed[g_total]
     power = 0
-    prefix = action.char_zero()
+    prefix = action.identity
     for m, g in elems:
         if any(e and v not in fv for v, e in enumerate(m)):
             return None
@@ -409,7 +400,7 @@ def psi_chain_check(cp, max_tensor):
     if max_tensor < 2:
         raise WindowTooSmall("need tensor degree at least 2")
     action = cp.action
-    zero = action.char_zero()
+    zero = action.identity
     win, sectors, psi = psi_matrices(cp, max_tensor)
     bm_c, bp_c = win.all_boundaries()
     for g, (swin, keep, _idx) in sectors.items():

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import lghomology
 from lghomology.errors import CompositionNonzero, NoStabilization
-from lghomology.linalg import (CyclotomicField, Matrix, PrimeField, QQ,
-                               add_to, homology_dim, rank, settle)
+from lghomology.linalg import (CycElement, CyclotomicField, Matrix,
+                               PrimeField, QQ, add_to, homology_dim, rank,
+                               settle)
 
 
 def test_rank_simple():
@@ -79,6 +80,48 @@ def test_cyclotomic_quartic_square_root_of_minus_one():
     f = CyclotomicField(4)
     z = f.zeta(1)
     assert z * z == f.from_int(-1)
+
+
+def _sympy_coords(poly, x, n):
+    """Coordinates on 1, x, ..., x^(n-1) of a sympy polynomial of degree
+    below n, as Fractions."""
+    import sympy
+    coeffs = sympy.Poly(poly, x, domain="QQ").all_coeffs()[::-1]
+    return tuple(Fraction(str(c)) for c in coeffs + [0] * (n - len(coeffs)))
+
+
+@pytest.mark.parametrize("d", range(1, 31))
+def test_cyclotomic_modulus_matches_sympy(d):
+    import sympy
+    x = sympy.Symbol("x")
+    f = CyclotomicField(d)
+    assert f.modulus == list(_sympy_coords(sympy.cyclotomic_poly(d, x), x,
+                                           f.degree + 1))
+
+
+@pytest.mark.parametrize("d", range(1, 31))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_products_and_inverses_match_sympy(d, data):
+    import sympy
+    x = sympy.Symbol("x")
+    f = CyclotomicField(d)
+    phi = sympy.cyclotomic_poly(d, x)
+    coords = st.lists(rationals, min_size=f.degree, max_size=f.degree)
+    a, b = data.draw(coords), data.draw(coords)
+
+    def sym(cs):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** i
+                    for i, c in enumerate(cs)), sympy.Integer(0))
+    product = CycElement(a, f) * CycElement(b, f)
+    assert product.coeffs == _sympy_coords(
+        sympy.rem(sym(a) * sym(b), phi, x), x, f.degree)
+    if any(a):
+        assert CycElement(a, f).inverse().coeffs == _sympy_coords(
+            sympy.invert(sym(a), phi, x), x, f.degree)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            CycElement(a, f).inverse()
 
 
 def test_matrix_multiplication_associates():

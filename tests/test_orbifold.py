@@ -78,9 +78,9 @@ def test_power_on_a_product_of_cyclic_groups():
 
 def test_invariance():
     model, action = quartic_setup()
-    assert action.is_invariant(model.potential)
+    assert action.is_invariant(model.potential.terms)
     bad = make_model("x^3+y^4+z^4+w^4", "xyzw")
-    assert not action.is_invariant(bad.potential)
+    assert not action.is_invariant(bad.potential.terms)
 
 
 def test_restrict_potential():
@@ -210,6 +210,30 @@ def test_cross_product_rejects_non_invariant_curvature():
     action = GroupAction.cyclic(2, (1,))
     with pytest.raises(NotInvariant):
         cross_product(action, (2,), {(1,): 1})
+
+
+@pytest.mark.parametrize("action, powers", [
+    (GroupAction.cyclic(2, (1,)), (2,)),
+    (GroupAction.cyclic(4, (1,)), (4,)),
+    (GroupAction((2, 3), ((1, 1), (0, 2))), (2, 2)),
+], ids=["z2-x2", "z4-x4", "z2xz3-2-2"])
+def test_cross_product_matches_the_twisted_multiplication(action, powers):
+    cp = cross_product(action, powers, {})
+    ref = {}
+    for i, (a, g) in enumerate(cp.elements):
+        for j, (b, h) in enumerate(cp.elements):
+            ab = tuple(x + y for x, y in zip(a, b))
+            if all(e < p for e, p in zip(ab, powers)):
+                twist = action.power(g, action.monomial_character(b))
+                k = cp.index[(ab, action.char_add(g, h))]
+                ref[(i, j)] = {k: cp.field.zeta(twist)}
+    assert cp.algebra.mult == ref
+
+
+def test_cross_product_checks_the_truncation_before_the_invariance():
+    # x^2 lies outside k[x]/x^2 and Z/4 does not fix it
+    with pytest.raises(ValueError):
+        cross_product(GroupAction.cyclic(4, (1,)), (2,), {(2,): 1})
 
 
 def test_cross_product_trivial_group_is_plain_algebra():
