@@ -72,8 +72,9 @@ class NoStabilization(LGError):
 class WindowTooLarge(NoStabilization):
     """A window is over its size limit, refused before it is built: the
     chain window an ordinary HH value needs to settle
-    (``MAX_WINDOW_TENSORS``), or the chain bases of the Borel-Moore
-    degrees asked for (``MAX_BM_TENSORS``)."""
+    (``MAX_WINDOW_TENSORS``), the chain bases of the Borel-Moore degrees
+    asked for (``MAX_BM_TENSORS``), or the polyvector bases of a Koszul
+    homology (``MAX_KOSZUL_BASIS``)."""
 
 
 class FactorizationInvalid(LGError):

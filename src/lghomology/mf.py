@@ -3,9 +3,10 @@
 A factorization is a free module E0 + E1 with one odd map
 D = [[0, P1], [P0, 0]] squaring to W times the identity; verification, the
 Hom differential and the graded degree audit all read D.  Morphism spaces
-carry the two-periodic commutator differential; their cohomology is
-computed either exactly over univariate rings (diagonalization over the
-principal-ideal ring) or by quotienting by powers of the maximal ideal
+carry the two-periodic commutator differential, which squares to zero
+because both D's square to W.  Their cohomology is computed either exactly
+over univariate rings, from one diagonalization of each differential over
+the principal-ideal ring, or by quotienting by powers of the maximal ideal
 until two consecutive degree caps agree, the heuristic of
 ``linalg.settle``.
 
@@ -75,16 +76,6 @@ class PolyMatrix:
                         row[j] = row[j] + a * b
             out.append(row)
         return PolyMatrix(self.ring, out)
-
-    def __add__(self, other):
-        return PolyMatrix(self.ring,
-                          [[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        return PolyMatrix(self.ring,
-                          [[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self):
         return PolyMatrix(self.ring, [[-a for a in row] for row in self.data])
@@ -162,10 +153,8 @@ def koszul_factorization(model, splitting):
     P1 = PolyMatrix(ring, [[v]])
     for u, v in splitting[1:]:
         n0, n1 = P0.ncols, P0.nrows
-        uI0 = PolyMatrix.identity(ring, n0, u)
         vI0 = PolyMatrix.identity(ring, n0, v)
         uI1 = PolyMatrix.identity(ring, n1, u)
-        vI1 = PolyMatrix.identity(ring, n1, v)
         # block structure of the tensor product of two factorizations
         newP0 = _block(ring, [[P0, vI0], [uI1, -P1]])
         newP1 = _block(ring, [[P1, vI0], [uI1, -P0]])
@@ -231,16 +220,18 @@ def _hom_entries(src, dst, parity):
             if ((r >= dst.rank0) != (c >= src.rank0)) == parity]
 
 
-def _flatten_d(src, dst, parity):
-    """d(phi) = D_F phi - (-1)^|phi| phi D_E from the given parity to the other."""
-    ring = src.model.ring
-    DE, DF = _odd_map(src), _odd_map(dst)
-    src_entries = _hom_entries(src, dst, parity)
-    pos = {e: n for n, e in enumerate(src_entries)}
+def _flatten_d(DE, DF, entries, parity):
+    """d(phi) = D_F phi - (-1)^|phi| phi D_E from the given parity to the other.
+
+    ``DE`` and ``DF`` are the odd maps of the source and the target, and
+    ``entries`` the coordinates of each parity.
+    """
+    ring = DE.ring
+    pos = {e: n for n, e in enumerate(entries[parity])}
     z = ring.zero()
     out = []
-    for r, c in _hom_entries(src, dst, 1 - parity):
-        row = [z] * len(src_entries)
+    for r, c in entries[1 - parity]:
+        row = [z] * len(pos)
         for k, p in enumerate(DF.data[r]):
             if p:
                 col = pos[(k, c)]
@@ -250,18 +241,26 @@ def _flatten_d(src, dst, parity):
                 col = pos[(r, k)]
                 row[col] = row[col] + (drow[c] if parity else -drow[c])
         out.append(row)
-    return PolyMatrix(ring, out), src_entries
+    return PolyMatrix(ring, out)
 
 
 def hom_complex(src, dst):
+    """The Hom complex from ``src`` to ``dst``.
+
+    d^2 phi = D_F^2 phi - phi D_E^2, so the differential squares to zero
+    exactly when both factorizations square to the same multiple of the
+    identity; ``verify_mf`` on each checks it against W.
+    """
     if src.model != dst.model:
         raise ModelMismatch("factorizations live over different models")
-    d_even, even_entries = _flatten_d(src, dst, 0)
-    d_odd, odd_entries = _flatten_d(src, dst, 1)
-    if not (d_odd @ d_even).is_zero() or not (d_even @ d_odd).is_zero():
-        raise FactorizationInvalid(
-            "commutator differential does not square to zero")
-    return HomComplex(d_even, d_odd, even_entries, odd_entries)
+    for mf in (src,) if src is dst else (src, dst):
+        if not verify_mf(mf):
+            raise FactorizationInvalid(
+                "compositions do not equal W times the identity")
+    DE, DF = _odd_map(src), _odd_map(dst)
+    entries = [_hom_entries(src, dst, parity) for parity in (0, 1)]
+    return HomComplex(_flatten_d(DE, DF, entries, 0),
+                      _flatten_d(DE, DF, entries, 1), *entries)
 
 
 # ---------------------------------------------------------------------------
@@ -289,105 +288,44 @@ def _udivmod(a, b):
 
 
 def smith_diagonalize(mat):
-    """Diagonalize over k[x] by unimodular operations.
+    """Nonzero diagonal of a k[x] matrix under unimodular row and column
+    operations.
 
-    Returns (diag, Vinv) where diag lists the diagonal entries of the
-    transformed matrix and Vinv inverts the column transform V, which
-    satisfies M.V = (row ops applied to the diagonal form); kernel columns
-    of M are the columns of V beyond the rank, so the rows of Vinv beyond
-    the rank give coordinates in the kernel.  The diagonal need not be the
-    Smith normal form (diag(x+1, x) is not); only its rank and the sum of
-    its degrees, all the cohomology reads, are invariants.
+    The diagonal need not be the Smith normal form (diag(x+1, x) is not);
+    only its length, the rank, and the sum of its degrees, all the
+    cohomology reads, are invariants.
     """
-    ring = mat.ring
-    if ring.nvars != 1:
+    if mat.ring.nvars != 1:
         raise MethodUnsupported("diagonalization needs one variable")
     M = [row[:] for row in mat.data]
     m, n = mat.nrows, mat.ncols
-    Vi = PolyMatrix.identity(ring, n).data
-
-    def col_swap(a, b):
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-        Vi[a], Vi[b] = Vi[b], Vi[a]
-
-    def col_add(dst_c, src_c, q):
-        # col_dst += q * col_src ; inverse is a row op on Vi
-        for row in M:
-            row[dst_c] = row[dst_c] + q * row[src_c]
-        for j in range(n):
-            Vi[src_c][j] = Vi[src_c][j] - q * Vi[dst_c][j]
-
-    def row_swap(a, b):
-        M[a], M[b] = M[b], M[a]
-
-    def row_add(dst_r, src_r, q):
-        for j in range(n):
-            M[dst_r][j] = M[dst_r][j] + q * M[src_r][j]
-
-    t = 0
-    while t < min(m, n):
-        # find minimal-degree nonzero entry in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if M[i][j]:
-                    deg = M[i][j].degree()
-                    if best is None or deg < best[0]:
-                        best = (deg, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(bi, t)
-        if bj != t:
-            col_swap(bj, t)
+    diag = []
+    for t in range(min(m, n)):
         while True:
-            dirty = False
+            # a nonzero entry of least degree in the block left goes to (t, t)
+            nonzero = [(M[i][j].degree(), i, j) for i in range(t, m)
+                       for j in range(t, n) if M[i][j]]
+            if not nonzero:
+                return diag
+            _, bi, bj = min(nonzero)
+            M[bi], M[t] = M[t], M[bi]
+            for row in M:
+                row[bj], row[t] = row[t], row[bj]
+            # clear row and column t down to remainders of lower degree
             for i in range(t + 1, m):
                 if M[i][t]:
-                    q, r = _udivmod(M[i][t], M[t][t])
-                    row_add(i, t, -q)
-                    if r:
-                        row_swap(i, t)
-                        dirty = True
+                    q, _ = _udivmod(M[i][t], M[t][t])
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
             for j in range(t + 1, n):
                 if M[t][j]:
-                    q, r = _udivmod(M[t][j], M[t][t])
-                    col_add(j, t, -q)
-                    if r:
-                        col_swap(j, t)
-                        dirty = True
-            if not dirty and all(not M[i][t] for i in range(t + 1, m)) and \
-                    all(not M[t][j] for j in range(t + 1, n)):
+                    q, _ = _udivmod(M[t][j], M[t][t])
+                    for row in M:
+                        row[j] = row[j] - q * row[t]
+            if not any(M[i][t] for i in range(t + 1, m)) and \
+                    not any(M[t][j] for j in range(t + 1, n)):
                 break
-        t += 1
-    diag = [M[i][i] for i in range(min(m, n))]
-    return diag, PolyMatrix(ring, Vi)
-
-
-def _cohomology_dim_univariate(d_in, d_out):
-    """dim_k of ker(d_out)/im(d_in) for free-module maps over k[x]."""
-    ring = d_out.ring
-    diag, Vi = smith_diagonalize(d_out)
-    rank = sum(1 for e in diag if e)
-    n = d_out.ncols
-    ker_idx = [j for j in range(n) if j >= rank]
-    coords = Vi @ d_in
-    # rows of coords away from the kernel must vanish since d_out . d_in = 0
-    for j in range(rank):
-        for v in coords.data[j]:
-            if v:
-                raise AssertionError("image does not lie in the kernel")
-    X = PolyMatrix(ring, [coords.data[j] for j in ker_idx]) if ker_idx else \
-        PolyMatrix.zero(ring, 0, d_in.ncols)
-    if X.nrows == 0:
-        return 0
-    diag2, _ = smith_diagonalize(X)
-    nonzero = [e for e in diag2 if e]
-    if len(nonzero) < X.nrows:
-        return INFINITE
-    return sum(e.leading_monomial()[0] for e in nonzero)
+        diag.append(M[t][t])
+    return diag
 
 
 def _degree_window_matrix(pm, cap):
@@ -447,9 +385,21 @@ def ext_dims(src, dst, method="smith"):
     if method == "smith":
         if src.model.ring.nvars != 1:
             raise MethodUnsupported("smith method needs a univariate ring")
-        even = _cohomology_dim_univariate(hom.d_odd, hom.d_even)
-        odd = _cohomology_dim_univariate(hom.d_even, hom.d_odd)
-        return even, odd
+        # Over k[x], ker(d_out) is saturated, as F / ker(d_out) embeds in a
+        # free module.  When the two ranks add up to n it therefore equals
+        # the saturation of im(d_in), and ker(d_out) / im(d_in) is the
+        # torsion of coker(d_in), of dimension the sum of the exponents of
+        # d_in's diagonal; otherwise it has a free part.
+        diag_even, diag_odd = map(smith_diagonalize, (hom.d_even, hom.d_odd))
+        ranks = len(diag_even) + len(diag_odd)
+
+        def torsion(diag, n):
+            if ranks != n:
+                return INFINITE
+            return sum(e.leading_monomial()[0] for e in diag)
+
+        return (torsion(diag_odd, len(hom.even_entries)),
+                torsion(diag_even, len(hom.odd_entries)))
     if method == "truncate":
         src.model.require_homogeneous()
         ring = src.model.ring
@@ -503,10 +453,8 @@ class TwistObject:
 
 def maurer_cartan_check(obj, model):
     """True iff W id + delta.delta vanishes exactly."""
-    ring = model.ring
-    n = len(obj.summands)
-    lhs = PolyMatrix.identity(ring, n, model.potential) + obj.delta @ obj.delta
-    return lhs.is_zero()
+    return obj.delta @ obj.delta == PolyMatrix.identity(
+        model.ring, len(obj.summands), -model.potential)
 
 
 def twist_to_graded_mf(obj, model):
@@ -523,14 +471,9 @@ def twist_to_graded_mf(obj, model):
     if model.potential and (not even_idx or not odd_idx):
         raise ParityViolation(
             "a factorization of a nonzero potential needs both parities")
-    for i in even_idx:
-        for j in even_idx:
-            if obj.delta.data[i][j]:
-                raise ParityViolation("twisting map has an even-to-even entry")
-    for i in odd_idx:
-        for j in odd_idx:
-            if obj.delta.data[i][j]:
-                raise ParityViolation("twisting map has an odd-to-odd entry")
+    for idx, kind in ((even_idx, "even-to-even"), (odd_idx, "odd-to-odd")):
+        if any(obj.delta.data[i][j] for i in idx for j in idx):
+            raise ParityViolation("twisting map has an %s entry" % kind)
     twists0 = tuple(obj.summands[i][1] * d // 2 + obj.summands[i][0]
                     for i in even_idx)
     twists1 = tuple((obj.summands[i][1] + 1) * d // 2 + obj.summands[i][0]

@@ -8,10 +8,11 @@ import pytest
 import lghomology.jacobi as jacobi
 import lghomology.koszul as koszul
 
-from lghomology.cli import main, parse_model_file
+from lghomology.cli import MAX_GROUP_ORDER, main, parse_model_file
 from lghomology.errors import (FactorizationInvalid, NoStabilization,
                                NonIsolated, NonIsolatedSector, ParseError)
 from lghomology.linalg import PRIME_BOUND
+from lghomology.orbifold import GroupAction
 from lghomology.poly import MAX_LITERAL_DIGITS, MAX_POWER_DEGREE
 
 QUARTIC = """\
@@ -439,6 +440,61 @@ def test_oversized_bm_degrees_are_refused_first(tmp_path, capsys, degrees):
     assert time.perf_counter() - start < 1.0
     assert code == NoStabilization.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def test_oversized_koszul_complex_is_refused_first(tmp_path, capsys,
+                                                   monkeypatch):
+    # x^3 builds 14 polyvector fields up to grade 4, one over this limit
+    monkeypatch.setattr(koszul, "MAX_KOSZUL_BASIS", 13)
+    built = []
+    monkeypatch.setattr(koszul, "_basis", lambda *a: built.append(a))
+    monkeypatch.setattr(koszul, "_dW_map", lambda *a: built.append(a))
+    path = write(tmp_path, "x3.lg", X3)
+    code, out, err = run(capsys, ["koszul", path, "--format", "machine"])
+    assert code == NoStabilization.exit_code and out == ""
+    assert "error" in err and "Traceback" not in err
+    assert built == []
+
+
+def test_large_koszul_complex_is_refused_fast(tmp_path, capsys):
+    # unbounded, n = 20 took 8 s and n = 40 over 40 s
+    path = write(tmp_path, "big.lg", "variables x y z\n"
+                 "potential x^40+y^40+z^40\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["koszul", path, "--format", "machine"])
+    assert time.perf_counter() - start < 1.0
+    assert code == NoStabilization.exit_code and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", [MAX_GROUP_ORDER + 1, 10 ** 12])
+def test_oversized_group_order_is_refused_at_the_group_line(
+        tmp_path, capsys, monkeypatch, order):
+    listed = []
+    monkeypatch.setattr(GroupAction, "elements",
+                        lambda action: listed.append(action) or [])
+    path = write(tmp_path, "big.lg", "variables x y\npotential x^3+y^3\n"
+                 "group order %d weights 0 0\n" % order)
+    code, out, err = run(capsys, ["orbifold", path, "--format", "machine"])
+    assert code == ParseError.exit_code and out == ""
+    assert "group order" in err and "Traceback" not in err
+    assert listed == []
+    at_limit = parse_model_file("variables x\npotential x^3\n"
+                                "group order %d weights 0\n"
+                                % MAX_GROUP_ORDER)
+    assert at_limit.group.order == MAX_GROUP_ORDER
+
+
+@pytest.mark.parametrize("bad", ["model", "factorization"])
+def test_a_file_that_is_not_utf8_exits_parse(tmp_path, capsys, bad):
+    model = write(tmp_path, "x3.lg", X3)
+    fact = write(tmp_path, "x3.mf", MF_X3)
+    path = tmp_path / ("x3.lg" if bad == "model" else "x3.mf")
+    path.write_bytes(b"\xff" + path.read_bytes())
+    code, out, err = run(capsys, ["mf", model, fact, "verify",
+                                  "--format", "machine"])
+    assert code == ParseError.exit_code and out == ""
+    assert "cannot read" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, expected", [

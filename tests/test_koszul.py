@@ -3,9 +3,12 @@
 import pytest
 
 from conftest import make_model, record_eliminations
-from lghomology.errors import CharacteristicTooSmall, NonHomogeneous
+import lghomology.koszul as koszul
+from lghomology.errors import (CharacteristicTooSmall, NonHomogeneous,
+                               WindowTooLarge)
 from lghomology.jacobi import canonical_module, jacobi_data
-from lghomology.koszul import (contract_dW, e2_page, form_basis,
+from lghomology.koszul import (check_koszul_window, contract_dW, e2_page,
+                               form_basis,
                                form_comparison, hkr_split,
                                koszul_concentrated, koszul_homology_dims,
                                polyvector_basis, split_insertion_identity,
@@ -161,3 +164,35 @@ def test_e2_vanishes_off_support_rows():
     page = e2_page(model, max_column=2, max_row=4, max_charge=8)
     for (i, j) in page:
         assert i == 0 or j - i == model.ring.nvars
+
+
+@pytest.mark.parametrize("src, names, weights", [
+    ("x^3", "x", None), ("x^2+y^2", "xy", None),
+    ("x^3+y^3+z^3", "xyz", None), ("x^4+y^2", "xy", (1, 2)),
+    ("x^3*y+y^4", "xy", None)])
+def test_koszul_window_counts_the_bases_the_walk_builds(src, names, weights):
+    model = make_model(src, names, weights=weights)
+    ring = model.ring
+    max_grade = 2 * model.degree
+    counted = check_koszul_window(ring, model.degree, max_grade)
+    koszul_homology_dims(model, max_grade)
+    # polyvector bases are cached under (k, grade, 1)
+    assert counted == sum(len(basis) for key, basis in ring._cache.items()
+                          if isinstance(key, tuple) and len(key) == 3
+                          and key[2] == 1)
+
+
+def test_koszul_refuses_a_complex_over_the_limit_before_building_it(
+        monkeypatch):
+    model = make_model("x^3+y^3+z^3", "xyz")
+    limit = check_koszul_window(model.ring, model.degree, 6)
+    monkeypatch.setattr(koszul, "MAX_KOSZUL_BASIS", limit - 1)
+    built = []
+    real_basis = koszul._basis
+    monkeypatch.setattr(koszul, "_basis",
+                        lambda *a: built.append(a) or real_basis(*a))
+    with pytest.raises(WindowTooLarge):
+        koszul_homology_dims(model, 6)
+    assert built == []
+    monkeypatch.setattr(koszul, "MAX_KOSZUL_BASIS", limit)
+    assert koszul_homology_dims(model, 6) == {0: {0: 1, 1: 3, 2: 3, 3: 1}}

@@ -178,6 +178,73 @@ def test_ext_stable_under_trivial_summands():
     assert ext_dims(mf, direct_sum(mf, triv), method="smith") == plain
 
 
+@pytest.mark.parametrize("weight", [1, 2])
+def test_ext_between_rank_one_factorizations_of_a_power(weight):
+    # Ext(E_a, E_b) for E_a = (x^a, x^(n-a)) has both dimensions
+    # min(a, b, n - a, n - b)
+    for n in range(2, 9):
+        model = make_model("x^%d" % n, "x", weights=(weight,))
+        ring = model.ring
+        facts = {a: MatrixFactorization(
+            model, PolyMatrix(ring, [[P("x^%d" % a, ring)]]),
+            PolyMatrix(ring, [[P("x^%d" % (n - a), ring)]]))
+            for a in range(1, n)}
+        for a, src in facts.items():
+            for b, dst in facts.items():
+                m = min(a, b, n - a, n - b)
+                assert ext_dims(src, dst, method="smith") == (m, m), (n, a, b)
+
+
+def test_smith_ext_diagonalizes_each_differential_once(monkeypatch):
+    model, mf = uni_mf(5, 2)
+    calls = []
+    diagonalize = mf_module.smith_diagonalize
+
+    def counting(mat):
+        calls.append((mat.nrows, mat.ncols))
+        return diagonalize(mat)
+
+    monkeypatch.setattr(mf_module, "smith_diagonalize", counting)
+    assert ext_dims(mf, direct_sum(mf, mf), method="smith") == (4, 4)
+    assert len(calls) == 2
+
+
+def test_smith_ext_is_infinite_when_the_ranks_fall_short(monkeypatch):
+    # a zero differential on one coordinate of each parity: the whole free
+    # module survives, so neither dimension is finite
+    model, mf = uni_mf(3, 1)
+    zero = PolyMatrix.zero(model.ring, 1, 1)
+    monkeypatch.setattr(mf_module, "hom_complex", lambda src, dst:
+                        mf_module.HomComplex(zero, zero, [(0, 0)], [(0, 1)]))
+    assert ext_dims(mf, mf, method="smith") == (INFINITE, INFINITE)
+
+
+def test_hom_complex_refuses_a_factorization_of_another_potential():
+    # (x, x) squares to x^2, a multiple of the identity, so d^2 = 0 in its
+    # Hom complex; but it does not factor W = x^3
+    model, good = uni_mf(3, 1)
+    ring = model.ring
+    other = MatrixFactorization(model, PolyMatrix(ring, [[P("x", ring)]]),
+                                PolyMatrix(ring, [[P("x", ring)]]))
+    for src, dst in ((other, other), (good, other), (other, good)):
+        with pytest.raises(FactorizationInvalid):
+            hom_complex(src, dst)
+
+
+def test_hom_complex_verifies_a_shared_factorization_once(monkeypatch):
+    model, mf = uni_mf(3, 1)
+    seen = []
+    verify = mf_module.verify_mf
+    monkeypatch.setattr(mf_module, "verify_mf",
+                        lambda f: seen.append(f) or verify(f))
+    hom_complex(mf, mf)
+    assert seen == [mf]
+    seen.clear()
+    other = trivial_factorization(model)
+    hom_complex(mf, other)
+    assert seen == [mf, other]
+
+
 def test_ext_koszul_quadric_truncate():
     model = make_model("x^2+y^2", "xy")
     ring = model.ring
@@ -224,10 +291,17 @@ def test_smith_diagonalization_matches_sympy():
                  [["x+1", "x"], ["x^2", "1"]],
                  [["x+1", "0"], ["0", "x"]],
                  [["x^2+1", "x"], ["x", "x^2-1"], ["x+1", "1"]],
-                 [["x+1", "x"]]):
+                 [["x+1", "x"]],
+                 # swapping in each remainder as it appears grows the
+                 # coefficients here past 5,000 digits
+                 [["-x^3+2*x^2-2", "0", "3*x^4+2*x^3+3*x^2",
+                   "-3*x^3-2*x^2-3*x", "2*x^3"],
+                  ["0", "-x^4", "2*x^4", "-2*x-1", "-2*x^4-3"],
+                  ["2*x", "0", "-2*x^4", "0", "0"],
+                  ["-2*x^3-3*x", "0", "-2*x^4+x^3-x", "0", "-2*x^4"],
+                  ["-2*x^2", "x^3+3*x^2+3*x", "-2", "-1", "0"]]):
         pm = PolyMatrix(ring, [[P(e, ring) for e in row] for row in rows])
-        diag, Vi = smith_diagonalize(pm)
-        ours = [e.degree() for e in diag if e]
+        ours = [e.degree() for e in smith_diagonalize(pm)]
 
         sm = smith_normal_form(
             sympy.Matrix([[sympy.sympify(e.replace("^", "**")) for e in row]
@@ -237,11 +311,6 @@ def test_smith_diagonalization_matches_sympy():
         # a diagonal form need not be the normal form (diag(x+1, x) is not),
         # but rank and degree sum, all the cohomology reads, agree
         assert (len(ours), sum(ours)) == (len(theirs), sum(theirs))
-        # the tracked inverse transform is invertible over k[x]: its own
-        # Smith diagonal is all nonzero constants
-        vi_diag, _ = smith_diagonalize(Vi)
-        assert len(vi_diag) == pm.ncols
-        assert all(e and e.degree() == 0 for e in vi_diag)
 
 
 def test_infinite_ext_sentinel():
@@ -399,3 +468,31 @@ def test_random_twist_degree_audit():
         except ParityViolation:
             continue
         assert verify_graded_degrees(gmf)
+
+
+def _valid_factorizations():
+    model, e1 = uni_mf(4, 1)
+    _, e2 = uni_mf(4, 2)
+    yield e1, e2
+    yield e2, direct_sum(e1, trivial_factorization(model))
+    quad = make_model("x^2+y^2", "xy")
+    ring = quad.ring
+    kos = koszul_factorization(quad, [(P("x", ring), P("x", ring)),
+                                      (P("y", ring), P("y", ring))])
+    yield kos, kos
+    yield kos, direct_sum(kos, trivial_factorization(quad))
+    cubic = make_model("x^3+y^3+z^3", "xyz")
+    ring = cubic.ring
+    yield (koszul_factorization(cubic, [(P(v, ring), P("%s^2" % v, ring))
+                                        for v in "xyz"]),) * 2
+    tmodel, obj = square_twist()
+    gmf = twist_to_graded_mf(obj, tmodel)
+    yield gmf, gmf
+
+
+@pytest.mark.parametrize("src, dst", list(_valid_factorizations()))
+def test_flattened_differentials_compose_to_zero(src, dst):
+    # a sign canary for _flatten_d, whose products hom_complex never forms
+    hom = hom_complex(src, dst)
+    assert (hom.d_odd @ hom.d_even).is_zero()
+    assert (hom.d_even @ hom.d_odd).is_zero()
