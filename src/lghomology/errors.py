@@ -64,7 +64,8 @@ class InfiniteCarrier(LGError):
 
 
 class NoStabilization(LGError):
-    """Window exhausted before the reported value settled."""
+    """An ordinary HH value did not settle within its tensor window
+    (``linalg.settle``), or a window is over its size limit."""
 
     exit_code = 4
 

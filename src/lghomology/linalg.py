@@ -41,10 +41,10 @@ def settle(values, message):
 
     Accepting a value because two consecutive windows agree is a heuristic,
     not a proof: a class that first appears in a larger window is missed.
-    The one answer it decides alone is the ``truncate`` Ext method.
-    Ordinary HH (``hh_ordinary``) also stops where it settles, then
-    certifies the value by the contracting homotopy, and Borel-Moore HH is
-    read at one shift, proven exact (``hh_bm_graded``).
+    It serves ordinary HH (``hh_ordinary``) only, which certifies the value
+    it stops at by the contracting homotopy.  Borel-Moore HH is read at one
+    shift, proven exact (``hh_bm_graded``), and ``truncate`` Ext sums over
+    the degrees graded Serre duality leaves (``mf.ext_dims``).
     """
     prev = object()     # equal to no value
     for pos, val in values:

@@ -4,11 +4,11 @@ A factorization is a free module E0 + E1 with one odd map
 D = [[0, P1], [P0, 0]] squaring to W times the identity; verification, the
 Hom differential and the graded degree audit all read D.  Morphism spaces
 carry the two-periodic commutator differential, which squares to zero
-because both D's square to W.  Their cohomology is computed either exactly
-over univariate rings, from one diagonalization of each differential over
-the principal-ideal ring, or by quotienting by powers of the maximal ideal
-until two consecutive degree caps agree, the heuristic of
-``linalg.settle``.
+because both D's square to W.  Their cohomology is computed exactly:
+over univariate rings from one diagonalization of each differential over
+the principal-ideal ring, and for graded factorizations of an isolated
+weighted-homogeneous W as a sum of finite pieces, one per internal
+degree, over the degrees that graded Serre duality leaves (``ext_dims``).
 
 The graded variant constrains entries to twist-adjusted degrees 0 and d;
 such objects also arise from twisted complexes over the cyclic-orbifold
@@ -18,16 +18,15 @@ entries carry the rescaled grading 2(|f| - b + a)/d - (l - k).
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 
 from .errors import (DegreeConstraintViolated, FactorizationInvalid,
-                     MethodUnsupported, ModelMismatch, ParityViolation,
-                     ShapeMismatch)
-# ``homology_dim`` is unused here but kept: lghbench pins mf.homology_dim
-from .linalg import Matrix, add_to, homology_dim, rank, settle  # noqa: F401
+                     MethodUnsupported, ModelMismatch, NonIsolated,
+                     ParityViolation, ShapeMismatch)
+from .jacobi import INFINITE, jacobi_data, socle_degree
+# ``rank`` is unused here but kept: lghbench pins mf.rank
+from .linalg import Matrix, add_to, homology_dim, rank  # noqa: F401
 from .poly import Polynomial, mono_mul
-
-INFINITE = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ class MatrixFactorization:
 
     ``twists0``/``twists1`` hold per-summand internal-degree twists for the
     graded case (a degree-zero map into the twist B(m) is multiplication
-    by a polynomial of degree m).
+    by a polynomial of degree m); Ext reads its own from D instead.
     """
 
     def __init__(self, model, P0, P1, twists0=None, twists1=None):
@@ -182,35 +181,21 @@ def trivial_factorization(model):
 
 
 def _block(ring, grid):
-    rows = []
-    for brow in grid:
-        height = brow[0].nrows
-        for r in range(height):
-            row = []
-            for blockm in brow:
-                row.extend(blockm.data[r])
-            rows.append(row)
-    return PolyMatrix(ring, rows)
+    """The polynomial matrix made of a grid of blocks, row by row."""
+    return PolyMatrix(ring, [[e for blockm in brow for e in blockm.data[r]]
+                             for brow in grid for r in range(brow[0].nrows)])
 
 
 # ---------------------------------------------------------------------------
 # Hom complexes
 
 
-class HomComplex:
-    """Two-periodic complex of B-linear maps E -> F between two factorizations.
-
-    A coordinate (r, c) is the entry of a map in row r of F0 + F1 and
-    column c of E0 + E1; it is even when r and c lie in parts of the same
-    parity.  The flattened differentials act on these coordinates with
-    polynomial coefficients.
-    """
-
-    def __init__(self, d_even, d_odd, even_entries, odd_entries):
-        self.d_even = d_even
-        self.d_odd = d_odd
-        self.even_entries = even_entries
-        self.odd_entries = odd_entries
+# Two-periodic complex of B-linear maps E -> F between two factorizations.
+# A coordinate (r, c) is the entry of a map in row r of F0 + F1 and column
+# c of E0 + E1; it is even when r and c lie in parts of the same parity.
+# The flattened differentials act on these coordinates with polynomial
+# coefficients.
+HomComplex = namedtuple("HomComplex", "d_even d_odd even_entries odd_entries")
 
 
 def _hom_entries(src, dst, parity):
@@ -328,59 +313,98 @@ def smith_diagonalize(mat):
     return diag
 
 
-def _degree_window_matrix(pm, cap):
-    """Field matrix of a polynomial matrix on entries of degree at most cap.
+def _entry_shifts(mf):
+    """(r, c, 2 deg p - d) for each nonzero entry p = D[r][c], the shift
+    None when p is not homogeneous.  Doubled twists T grade the
+    factorization when T[r] - T[c] is the shift of every entry."""
+    d = mf.model.degree
+    return [(r, c, 2 * p.degree() - d if p.is_homogeneous() else None)
+            for r, row in enumerate(_odd_map(mf).data)
+            for c, p in enumerate(row) if p]
 
-    Columns range over (coordinate, monomial of degree <= cap); rows over
-    all reachable products.  Returns the matrix and the weighted degrees
-    of its columns and of its rows.
-    """
+
+def _doubled_twists(mf):
+    """Doubled twists read off the odd map, with one free offset, 0, per
+    connected component of its nonzero entries.  ``MethodUnsupported``
+    when an entry is not homogeneous or no twists fit them all."""
+    shifts = _entry_shifts(mf)
+    for r, c, s in shifts:
+        if s is None:
+            raise MethodUnsupported(
+                "entry (%d, %d) of the odd map is not homogeneous" % (r, c))
+    T = [None] * (mf.rank0 + mf.rank1)
+    for root in range(len(T)):
+        if T[root] is None:
+            T[root], stack = 0, [root]
+            while stack:
+                u = stack.pop()
+                for r, c, s in shifts:
+                    for a, b, t in ((r, c, -s), (c, r, s)):
+                        if a == u and T[b] is None:
+                            T[b] = T[u] + t
+                            stack.append(b)
+    if any(T[r] - T[c] != s for r, c, s in shifts):
+        raise MethodUnsupported("no twists make the odd map homogeneous")
+    return T
+
+
+def _piece(ring, offsets, e):
+    """The pairs (k, m) of a Hom coordinate and a monomial with
+    2 deg m + offsets[k] = e: the basis of the piece of doubled degree e."""
+    return [(k, m) for k, o in enumerate(offsets)
+            if e >= o and (e - o) % 2 == 0
+            for m in ring.monomials_of_degree((e - o) // 2)]
+
+
+def _degree_window_matrix(pm, offsets, e, d):
+    """Field matrix of a flattened Hom differential from the piece of
+    doubled degree e to the piece of degree e + d; ``offsets`` holds the
+    coordinate offsets of the source parity and of the target parity."""
     ring = pm.ring
-    src = [(j, g, mm) for j in range(pm.ncols) for g in range(cap + 1)
-           for mm in ring.monomials_of_degree(g)]
-    row_pos = {}
-    row_degrees = []
+    rows = {key: i for i, key in enumerate(_piece(ring, offsets[1], e + d))}
+    cols = _piece(ring, offsets[0], e)
     ent = {}
-    for col, (j, _g, mm) in enumerate(src):
+    for col, (j, mm) in enumerate(cols):
         for i in range(pm.nrows):
             for pmono, c in pm.data[i][j].terms.items():
-                prod = mono_mul(pmono, mm)
-                row = row_pos.get((i, prod))
-                if row is None:
-                    row = row_pos[(i, prod)] = len(row_degrees)
-                    row_degrees.append(ring.weighted_degree(prod))
-                add_to(ent, (row, col), c)
-    return (Matrix(len(row_degrees), len(src), ring.field, ent),
-            [g for _j, g, _mm in src], row_degrees)
+                add_to(ent, (rows[(i, mono_mul(pmono, mm))], col), c)
+    return Matrix(len(rows), len(cols), ring.field, ent)
 
 
-def _filtered_dims(hom, cap):
-    """(even, odd) dims of bounded-degree classes modulo larger-window images.
-
-    Each differential is assembled once, on entries of degree at most
-    2 cap.  Its columns of degree at most cap give the kernel window; its
-    rows of degree above cap hold the images that leave that window.
-    """
-    windows = [_degree_window_matrix(d, 2 * cap)
-               for d in (hom.d_even, hom.d_odd)]
-
-    def one_side(out, into):
-        a, col_degrees, _ = out
-        low = sum(1 for g in col_degrees if g <= cap)
-        kernel_dim = low - rank(a.select(lambda i, j: col_degrees[j] <= cap))
-        full, _, row_degrees = into
-        high = full.select(lambda i, j: row_degrees[i] > cap)
-        return kernel_dim - (rank(full) - rank(high))
-
-    return one_side(*windows), one_side(*windows[::-1])
-
-
-# The largest degree cap the ``truncate`` Ext method tries.
-MAX_EXT_CAP = 12
+def _ext_pieces(hom, twists, d, degrees):
+    """(even, odd) cohomology at each doubled degree in the range
+    ``degrees``, for the doubled twists (T_E, T_F).  Each block is built
+    once: d_out of the piece at e and d_in of the piece at e + d."""
+    TE, TF = twists
+    offsets = [[TE[c] - TF[r] for r, c in entries]
+               for entries in (hom.even_entries, hom.odd_entries)]
+    blocks = {(q, e): _degree_window_matrix(
+        (hom.d_even, hom.d_odd)[q], (offsets[q], offsets[1 - q]), e, d)
+        for q in (0, 1) for e in range(degrees.start - d, degrees.stop)}
+    return [tuple(homology_dim(blocks[1 - p, e - d], blocks[p, e])
+                  for p in (0, 1)) for e in degrees]
 
 
 def ext_dims(src, dst, method="smith"):
-    """(even, odd) cohomology dimensions of the Hom complex."""
+    """(even, odd) cohomology dimensions of the Hom complex.
+
+    ``smith`` needs k[x]; see below.  ``truncate`` needs a weighted-
+    homogeneous W with an isolated critical point and homogeneous entries,
+    and is exact.  With the doubled twists of ``_doubled_twists``, a
+    monomial m at Hom coordinate (r, c) has doubled degree
+    e = 2 deg m - T_F[r] + T_E[c], and the differential raises e by
+    d = deg W, so Ext^p is the sum over e of the finite pieces H^p_e(E, F)
+    (``_ext_pieces``).  Below lo(E, F) = min T_E - max T_F no coordinate
+    holds a monomial.  For isolated W in n variables, graded Serre duality
+    (Auslander 1978; Kajiura-Saito-Takahashi, Adv. Math. 211, 2007;
+    Orlov 2009) reads H^p_e(E, F) = H^{p+n}_{sigma-e}(F, E)^* with
+    sigma = n d - 2 sum w_i (``jacobi.socle_degree``), so a piece above
+    sigma - lo(F, E) is dual to one below lo(F, E), and is 0.  The sum over
+    lo(E, F) <= e <= sigma - lo(F, E) is therefore all of Ext.  An
+    infinite Jacobi ring is refused with ``NonIsolated`` before any block
+    is built, and entries that no twists make homogeneous with
+    ``MethodUnsupported``.
+    """
     hom = hom_complex(src, dst)
     if method == "smith":
         if src.model.ring.nvars != 1:
@@ -401,15 +425,14 @@ def ext_dims(src, dst, method="smith"):
         return (torsion(diag_odd, len(hom.even_entries)),
                 torsion(diag_even, len(hom.odd_entries)))
     if method == "truncate":
-        src.model.require_homogeneous()
-        ring = src.model.ring
-        # A cap with no monomial of its own degree repeats the window below
-        # it, so agreeing with it would prove nothing.
-        caps = ((cap, _filtered_dims(hom, cap))
-                for cap in range(2, MAX_EXT_CAP + 1)
-                if ring.monomials_of_degree(cap))
-        return settle(caps, "ext dims did not settle below cap %d"
-                      % MAX_EXT_CAP)[0]
+        model = src.model
+        sigma = socle_degree(model)
+        if jacobi_data(model).milnor is INFINITE:
+            raise NonIsolated("critical points are not isolated")
+        TE, TF = _doubled_twists(src), _doubled_twists(dst)
+        degrees = range(min(TE) - max(TF), sigma - min(TF) + max(TE) + 1)
+        pieces = _ext_pieces(hom, (TE, TF), model.degree, degrees)
+        return tuple(sum(piece[p] for piece in pieces) for p in (0, 1))
     raise MethodUnsupported("unknown method %r" % method)
 
 
@@ -488,39 +511,12 @@ def twist_to_graded_mf(obj, model):
 
 
 def verify_graded_degrees(gmf):
-    """Each nonzero D[r][c] is homogeneous of degree t[r] - t[c], plus d in
-    the rows of E0 (the P1 block), where t = twists0 + twists1."""
-    d = gmf.model.degree
+    """True iff each nonzero D[r][c] is homogeneous of degree t[r] - t[c],
+    plus d in the rows of E0 (the P1 block), where t = twists0 + twists1:
+    the rule of ``_entry_shifts`` for T = 2 twists0 and 2 twists1 - d."""
     if gmf.twists0 is None or gmf.twists1 is None:
         return False
-    t = gmf.twists0 + gmf.twists1
-    for r, row in enumerate(_odd_map(gmf).data):
-        shift = d if r < gmf.rank0 else 0
-        for c, p in enumerate(row):
-            if p and not (p.is_homogeneous() and
-                          p.degree() == t[r] - t[c] + shift):
-                return False
-    return True
-
-
-def graded_hom_dims(src, dst, k_range):
-    """Dimensions of degree-zero maps into each twist of the target by kd."""
-    model = src.model
-    if src.model != dst.model:
-        raise ModelMismatch("factorizations live over different models")
-    ring = model.ring
-    d = model.degree
-
-    def hilbert(n):
-        if n < 0:
-            return 0
-        return len(ring.monomials_of_degree(n))
-
-    out = {}
-    for k in k_range:
-        total = 0
-        for tsrc in (src.twists0 or ()) + (src.twists1 or ()):
-            for tdst in (dst.twists0 or ()) + (dst.twists1 or ()):
-                total += hilbert(tdst + k * d - tsrc)
-        out[k] = total
-    return out
+    d = gmf.model.degree
+    T = [2 * t for t in gmf.twists0] + [2 * t - d for t in gmf.twists1]
+    return all(s is not None and s == T[r] - T[c]
+               for r, c, s in _entry_shifts(gmf))

@@ -128,19 +128,21 @@ class PolyRing:
         if hit is not None:
             return hit
         out = []
+        last = self.nvars - 1
 
         def rec(i, rem, cur):
-            if i == self.nvars:
-                if rem == 0:
-                    out.append(tuple(cur))
-                return
             w = self.weights[i]
-            for e in range(rem // w + 1):
-                cur.append(e)
-                rec(i + 1, rem - e * w, cur)
-                cur.pop()
+            if i < last:
+                for e in range(rem // w + 1):
+                    rec(i + 1, rem - e * w, cur + (e,))
+            elif rem % w == 0:
+                # the remainder fixes the last exponent
+                out.append(cur + (rem // w,))
 
-        rec(0, deg, [])
+        if deg >= 0 and self.nvars:
+            rec(0, deg, ())
+        elif deg == 0:
+            out.append(())
         out.sort(key=self.order_key, reverse=True)
         out = self._cache[deg] = tuple(out)
         return out

@@ -9,8 +9,9 @@ import lghomology.jacobi as jacobi
 import lghomology.koszul as koszul
 
 from lghomology.cli import MAX_GROUP_ORDER, main, parse_model_file
-from lghomology.errors import (FactorizationInvalid, NoStabilization,
-                               NonIsolated, NonIsolatedSector, ParseError)
+from lghomology.errors import (FactorizationInvalid, MethodUnsupported,
+                               NoStabilization, NonIsolated,
+                               NonIsolatedSector, ParseError)
 from lghomology.linalg import PRIME_BOUND
 from lghomology.orbifold import GroupAction
 from lghomology.poly import MAX_LITERAL_DIGITS, MAX_POWER_DEGREE
@@ -249,15 +250,28 @@ def test_mf_ext_verifies_the_factorization(tmp_path, capsys, text):
     assert "error" in err and "Traceback" not in err
 
 
-def test_stabilization_exit_code(tmp_path, capsys):
-    # x^2*y is not isolated, so the Ext of x * xy is infinite and no cap
-    # up to ext_dims's default of 12 settles
+def test_truncate_ext_refuses_a_nonisolated_potential(tmp_path, capsys):
+    # x^2*y is not isolated, so graded Serre duality bounds no degree of
+    # the Ext of x * xy
     model = write(tmp_path, "ni.lg", NONISOLATED)
     fact = write(tmp_path, "ni.mf", "P0 x\nP1 x*y\n")
     code, _, err = run(capsys, ["mf", model, fact, "ext", "--method",
                                 "truncate"])
-    assert code == NoStabilization.exit_code
-    assert err == "error: ext dims did not settle below cap 12\n"
+    assert code == NonIsolated.exit_code
+    assert err == "error: critical points are not isolated\n"
+
+
+def test_truncate_ext_refuses_an_inhomogeneous_entry(tmp_path, capsys):
+    # the Koszul factorization of x^2+y^2 conjugated by [[1, x], [0, 1]]
+    # on E0: it verifies, but its entry x+x*y has no degree
+    model = write(tmp_path, "q.lg", "variables x y\npotential x^2+y^2\n")
+    fact = write(tmp_path, "q.mf", "P0 x, -x^2+y; y, -x*y-x\n"
+                 "P1 x+x*y, y-x^2; y, -x\n")
+    code, out, err = run(capsys, ["mf", model, fact, "ext",
+                                  "--format", "machine"])
+    assert code == MethodUnsupported.exit_code and out == ""
+    assert err == ("error: entry (0, 2) of the odd map is not "
+                   "homogeneous\n")
 
 
 def test_sector_exit_code(tmp_path, capsys):
@@ -364,8 +378,8 @@ def test_window_below_one_is_rejected(tmp_path, capsys):
     ["mf", "x3.lg", "x3.mf", "ext", "--bound", "2"],
 ], ids=["hh-window", "mf-ext-bound"])
 def test_removed_options_are_refused(capsys, argv):
-    # the model file's window tensor= and ext_dims's cap of 12 are the one
-    # setting of each value
+    # the model file's window tensor= sets the window, and truncate Ext
+    # reads its degree range off the factorizations
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err

@@ -153,9 +153,9 @@ GOLDEN = [
      '{"action":"graded-audit","command":"mf","graded_degrees":true,"s'
      'chema_version":1,"twists0":[0],"twists1":[2],"verified":true}\n',
      ''),
-    (['mf', 'nonisolated.lg', 'x2y.mf', 'ext', '--method', 'truncate'], 4,
+    (['mf', 'nonisolated.lg', 'x2y.mf', 'ext', '--method', 'truncate'], 3,
      '',
-     'error: ext dims did not settle below cap 12\n'),
+     'error: critical points are not isolated\n'),
     (['jacobi', 'nonisolated.lg', '--require-isolated'], 3,
      '',
      'error: critical points are not isolated\n'),

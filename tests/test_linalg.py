@@ -401,7 +401,9 @@ def _library_matrices(field):
     def P(src):
         return parse_polynomial(src, ring)
     pm = PolyMatrix(ring, [[P("x"), P("y")], [P("3*y^2"), P("x^3-x^3")]])
-    yield "_degree_window_matrix", _degree_window_matrix(pm, 3)[0]
+    # doubled offsets that make each entry raise the degree by 2
+    yield "_degree_window_matrix", _degree_window_matrix(pm, ([0, 0], [0, -2]),
+                                                         6, 2)
     # a group of order d acts over Q(zeta_d), the trivial group over any field
     order = getattr(field, "d", 1)
     cp = cross_product(GroupAction.cyclic(order, (1,)), (4,), {(3,): 1},

@@ -10,10 +10,10 @@ from lghomology.errors import (DegreeConstraintViolated, FactorizationInvalid,
                                MethodUnsupported, ModelMismatch,
                                ParityViolation, ShapeMismatch)
 import lghomology.mf as mf_module
-from lghomology.jacobi import INFINITE
+from lghomology.jacobi import INFINITE, socle_degree
+from lghomology.linalg import PrimeField
 from lghomology.mf import (MatrixFactorization, PolyMatrix, TwistObject,
-                           direct_sum, ext_dims,
-                           graded_hom_dims, hat_degree, hom_complex,
+                           direct_sum, ext_dims, hat_degree, hom_complex,
                            koszul_factorization, maurer_cartan_check,
                            smith_diagonalize, trivial_factorization,
                            twist_to_graded_mf, verify_graded_degrees,
@@ -154,10 +154,8 @@ def test_ext_truncate_weighted_variable_matches_smith():
         ext_dims(mf, mf, method="smith") == (3, 3)
 
 
-@pytest.mark.xfail(strict=True, reason="the odd class has degree 10; caps 2 "
-                   "and 4 already agree on (1, 0), as caps 2 and 3 do at "
-                   "weight 1: two agreeing windows are a heuristic")
 def test_ext_truncate_weighted_variable_with_a_late_class():
+    # the odd class sits in doubled degree 10, the socle degree
     mf = weighted_uni_mf(1)
     assert ext_dims(mf, mf, method="truncate") == \
         ext_dims(mf, mf, method="smith") == (1, 1)
@@ -178,12 +176,16 @@ def test_ext_stable_under_trivial_summands():
     assert ext_dims(mf, direct_sum(mf, triv), method="smith") == plain
 
 
-@pytest.mark.parametrize("weight", [1, 2])
-def test_ext_between_rank_one_factorizations_of_a_power(weight):
+@pytest.mark.parametrize("method", ["smith", "truncate"])
+@pytest.mark.parametrize("weight, field", [(1, None), (2, None), (3, None),
+                                           (2, PrimeField(11))],
+                         ids=["1", "2", "3", "2-gf11"])
+def test_ext_between_rank_one_factorizations_of_a_power(weight, field,
+                                                        method):
     # Ext(E_a, E_b) for E_a = (x^a, x^(n-a)) has both dimensions
     # min(a, b, n - a, n - b)
     for n in range(2, 9):
-        model = make_model("x^%d" % n, "x", weights=(weight,))
+        model = make_model("x^%d" % n, "x", weights=(weight,), field=field)
         ring = model.ring
         facts = {a: MatrixFactorization(
             model, PolyMatrix(ring, [[P("x^%d" % a, ring)]]),
@@ -192,7 +194,7 @@ def test_ext_between_rank_one_factorizations_of_a_power(weight):
         for a, src in facts.items():
             for b, dst in facts.items():
                 m = min(a, b, n - a, n - b)
-                assert ext_dims(src, dst, method="smith") == (m, m), (n, a, b)
+                assert ext_dims(src, dst, method=method) == (m, m), (n, a, b)
 
 
 def test_smith_ext_diagonalizes_each_differential_once(monkeypatch):
@@ -245,30 +247,108 @@ def test_hom_complex_verifies_a_shared_factorization_once(monkeypatch):
     assert seen == [mf, other]
 
 
+def koszul_cases():
+    """(model, Koszul factorization of rank 2^(n-1)) of Fermat-type
+    potentials in n = 2 and 3 variables, one of them weighted."""
+    for pot, names, weights, pairs in [
+            ("x^2+y^2", "xy", None, [("x", "x"), ("y", "y")]),
+            ("x^3+y^3", "xy", None, [("x", "x^2"), ("y", "y^2")]),
+            ("x^4+y^4", "xy", None, [("x", "x^3"), ("y", "y^3")]),
+            ("x^3+y^3+z^3", "xyz", None,
+             [("x", "x^2"), ("y", "y^2"), ("z", "z^2")]),
+            ("x^2+y^4", "xy", (2, 1), [("x", "x"), ("y", "y^3")])]:
+        model = make_model(pot, names, weights=weights)
+        ring = model.ring
+        yield model, koszul_factorization(
+            model, [(P(u, ring), P(v, ring)) for u, v in pairs])
+
+
 def test_ext_koszul_quadric_truncate():
-    model = make_model("x^2+y^2", "xy")
-    ring = model.ring
-    mf = koszul_factorization(model, [(P("x", ring), P("x", ring)),
-                                      (P("y", ring), P("y", ring))])
-    assert ext_dims(mf, mf, method="truncate") == (2, 2)
+    # x^4+y^4 is the case two agreeing degree caps once got wrong, (1, 2)
+    for model, mf in koszul_cases():
+        half = 2 ** (model.ring.nvars - 1)
+        assert ext_dims(mf, mf, method="truncate") == (half, half), model
 
 
-def test_truncate_assembles_each_differential_once_per_cap(monkeypatch):
-    model = make_model("x^2+y^2", "xy")
-    ring = model.ring
-    mf = koszul_factorization(model, [(P("x", ring), P("x", ring)),
-                                      (P("y", ring), P("y", ring))])
-    hom = hom_complex(mf, mf)
+def test_truncate_assembles_each_block_once(monkeypatch):
+    model, mf = list(koszul_cases())[1]
     calls = []
     assemble = mf_module._degree_window_matrix
 
-    def counting(pm, cap):
-        calls.append(cap)
-        return assemble(pm, cap)
+    def counting(pm, offsets, e, d):
+        calls.append((id(pm), e))
+        return assemble(pm, offsets, e, d)
 
     monkeypatch.setattr(mf_module, "_degree_window_matrix", counting)
-    assert mf_module._filtered_dims(hom, 3) == (2, 2)
-    assert calls == [6, 6]
+    assert ext_dims(mf, mf, method="truncate") == (2, 2)
+    T = mf_module._doubled_twists(mf)
+    d, lo = model.degree, min(T) - max(T)
+    hi = socle_degree(model) - lo
+    # each block is d_out of its own piece and d_in of the piece d above
+    assert len(set(calls)) == len(calls) == 2 * (hi - lo + d + 1)
+    assert {e for _, e in calls} == set(range(lo - d, hi + 1))
+
+
+def _duality_pairs():
+    """(E, F, top): pairs of factorizations, and whether E to F has a class
+    at the very top of the degree range."""
+    yield uni_mf(4, 2)[1], uni_mf(4, 2)[1], True
+    yield weighted_uni_mf(1), weighted_uni_mf(3), False
+    yield weighted_uni_mf(1), weighted_uni_mf(1), False
+    cases = list(koszul_cases())
+    model, kos = cases[1]
+    ring = model.ring
+    rank_one = MatrixFactorization(
+        model, PolyMatrix(ring, [[P("x+y", ring)]]),
+        PolyMatrix(ring, [[P("x^2-x*y+y^2", ring)]]))
+    yield kos, rank_one, False
+    yield kos, direct_sum(kos, trivial_factorization(model)), False
+    yield cases[3][1], cases[3][1], False
+    yield cases[4][1], cases[4][1], False
+
+
+@pytest.mark.parametrize("src, dst, top", list(_duality_pairs()), ids=[
+    "x2-x2", "weight-2-x-x3", "weight-2-x-x", "koszul-rank-one",
+    "koszul-plus-trivial", "koszul-cubic3", "koszul-weighted"])
+def test_truncate_range_is_closed_by_serre_duality(src, dst, top):
+    # H^p_e(E, F) = H^(p+n)_(sigma-e)(F, E) in doubled degrees, and no
+    # piece above sigma - lo(F, E) holds a class
+    model = src.model
+    d, n, sigma = model.degree, model.ring.nvars, socle_degree(model)
+    TE, TF = mf_module._doubled_twists(src), mf_module._doubled_twists(dst)
+    lo, hi = min(TE) - max(TF), sigma - (min(TF) - max(TE))
+    pieces = mf_module._ext_pieces(hom_complex(src, dst), (TE, TF), d,
+                                   range(lo, hi + 2 * d + 1))
+    dual = mf_module._ext_pieces(hom_complex(dst, src), (TF, TE), d,
+                                 range(sigma - hi, sigma - lo + 1))
+    inside, above = pieces[:hi - lo + 1], pieces[hi - lo + 1:]
+    assert above == [(0, 0)] * (2 * d)
+    for (even, odd), mirror in zip(inside, reversed(dual)):
+        assert (even, odd) == (mirror[n % 2], mirror[(n + 1) % 2])
+    assert (inside[-1] != (0, 0)) == top
+    assert ext_dims(src, dst, method="truncate") == \
+        tuple(sum(piece[p] for piece in inside) for p in (0, 1))
+
+
+def test_twists_are_inferred_per_component_and_refused_when_inconsistent():
+    model = make_model("x^2+y^2", "xy")
+    ring = model.ring
+    kos = list(koszul_cases())[0][1]
+    triv = trivial_factorization(model)
+    # (1, W): the unit lowers the doubled degree by d, W raises it by d
+    T = mf_module._doubled_twists(direct_sum(kos, triv))
+    assert T[:2] == mf_module._doubled_twists(kos)[:2] and T[2] == 0
+    assert T[5] - T[2] == -2
+    z, x = ring.zero(), P("x", ring)
+    # x, x and x lead around a cycle to x^2, which no twists fit
+    square = PolyMatrix(ring, [[x, x], [x, P("x^2", ring)]])
+    bad = MatrixFactorization(model, square, PolyMatrix.zero(ring, 2, 2))
+    with pytest.raises(MethodUnsupported, match="no twists"):
+        mf_module._doubled_twists(bad)
+    mixed = MatrixFactorization(model, PolyMatrix(ring, [[P("x+y^2", ring)]]),
+                                PolyMatrix(ring, [[z]]))
+    with pytest.raises(MethodUnsupported, match="not homogeneous"):
+        mf_module._doubled_twists(mixed)
 
 
 def test_smith_method_needs_one_variable():
@@ -408,17 +488,6 @@ def test_graded_degree_negative_control():
     tampered = MatrixFactorization(model, gmf.P0, gmf.P1,
                                    twists0=(1,), twists1=gmf.twists1)
     assert not verify_graded_degrees(tampered)
-
-
-def test_graded_hom_dims_counts():
-    model, obj = square_twist()
-    gmf = twist_to_graded_mf(obj, model)
-    dims = graded_hom_dims(gmf, gmf, range(0, 3))
-    # univariate ring: one monomial per degree, so each of the four twist
-    # pairs contributes one map once its degree is non-negative
-    assert dims[0] == 3
-    assert dims[1] == 4
-    assert dims[2] == 4
 
 
 def random_twist_object(rng, d):

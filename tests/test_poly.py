@@ -413,6 +413,22 @@ def test_monomials_of_degree_is_built_once_per_degree():
     assert other.monomials_of_degree(4) == first
 
 
+@pytest.mark.parametrize("weights", [(1,), (2,), (3,), (1, 1), (1, 2),
+                                     (3, 2), (1, 1, 1), (1, 2, 3),
+                                     (3, 3, 2)])
+def test_monomials_of_degree_match_a_plain_enumeration(weights):
+    ring = PolyRing("xyz"[:len(weights)], weights)
+    assert ring.monomials_of_degree(-1) == ()
+    for deg in range(13):
+        plain = sorted((m for m in itertools.product(range(deg + 1),
+                                                     repeat=len(weights))
+                        if ring.weighted_degree(m) == deg),
+                       key=ring.order_key, reverse=True)
+        got = ring.monomials_of_degree(deg)
+        assert got == tuple(plain), deg
+        assert ring.monomials_of_degree(deg) is got
+
+
 def _functions(module):
     for value in vars(module).values():
         if inspect.isfunction(value) and value.__module__ == module.__name__:
