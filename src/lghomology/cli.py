@@ -10,8 +10,8 @@ its arguments; ``#`` starts a comment.  Recognized keywords:
     carrier truncated p1 ... pn           (optional finite carrier)
     window tensor=N degrees=d1,d2         (optional truncation data)
 
-``window tensor=`` is the one setting of the ordinary-HH tensor window
-(default ``DEFAULT_TENSOR_WINDOW``, at least ``MIN_TENSOR_WINDOW``);
+``window tensor=`` is parsed and must be at least ``MIN_TENSOR_WINDOW``,
+but changes nothing: ordinary HH is proved on one window of that size.
 ``window degrees=`` picks the internal degrees Borel-Moore HH reports.
 
 Factorization files use ``P0`` / ``P1`` lines with rows separated by ``;``
@@ -19,10 +19,9 @@ and entries by ``,``, plus optional ``twists0`` / ``twists1`` integer lists.
 
 Machine output is versioned JSON with sorted keys; the human tables are
 derived from the same data.  Exit codes: 2 parse, 3 isolation, 4
-stabilization (including ``WindowTooLarge``, an ordinary-HH window over
-``MAX_WINDOW_TENSORS``, Borel-Moore degrees over ``MAX_BM_TENSORS`` or
-Koszul bases over ``MAX_KOSZUL_BASIS``), 5 factorization verification,
-6 sector.
+``WindowTooLarge`` (an ordinary-HH window over ``MAX_WINDOW_TENSORS``,
+Borel-Moore degrees over ``MAX_BM_TENSORS`` or Koszul bases over
+``MAX_KOSZUL_BASIS``), 5 factorization verification, 6 sector.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ from fractions import Fraction
 from math import prod
 
 from .errors import FactorizationInvalid, LGError, NonIsolated, ParseError
-from .hochschild import (DEFAULT_TENSOR_WINDOW, MIN_TENSOR_WINDOW,
-                         FiniteCurvedAlgebra, check_window, hh_bm_graded,
-                         hh_ordinary)
+from .hochschild import (MIN_TENSOR_WINDOW, FiniteCurvedAlgebra,
+                         check_window, hh_bm_graded, hh_ordinary)
 from .jacobi import (INFINITE, LGModel, canonical_data, canonical_module,
                      jacobi_data, socle_degree)
 from .linalg import PrimeField, QQ
@@ -328,13 +326,12 @@ def cmd_hh(args, mf, model):
     if args.variant == "ordinary":
         if mf.carrier is None:
             raise ParseError("the ordinary variant needs a carrier line")
-        # the carrier costs dim^2 products: refuse one whose smallest
-        # window that can settle is over the limit before building it
+        # the carrier costs dim^2 products: refuse one whose window is
+        # over the limit before building it
         check_window(prod(mf.carrier), MIN_TENSOR_WINDOW)
         carrier = FiniteCurvedAlgebra.truncated(
             mf.carrier, model.potential.terms, model.ring.field)
-        rep = hh_ordinary(carrier, mf.window.get("tensor",
-                                                 DEFAULT_TENSOR_WINDOW))
+        rep = hh_ordinary(carrier)
         return {
             "command": "hh",
             "variant": "ordinary",
@@ -380,19 +377,20 @@ def cmd_hh(args, mf, model):
 def cmd_mf(args, mf, model):
     from .mf import ext_dims, verify_graded_degrees, verify_mf
     fact = load_mf_file(args.factorization, model)
+    if args.action == "ext":
+        method = args.method
+        if method is None:
+            method = "smith" if model.ring.nvars == 1 else "truncate"
+        # ext_dims checks D.D = W.I (in hom_complex) before anything else
+        even, odd = ext_dims(fact, fact, method=method)
+        return {"command": "mf", "action": "ext", "method": method,
+                "even": even, "odd": odd}
     if not verify_mf(fact):
         raise FactorizationInvalid(
             "compositions do not equal W times the identity")
     if args.action == "verify":
         return {"command": "mf", "action": "verify", "verified": True,
                 "rank0": fact.rank0, "rank1": fact.rank1}
-    if args.action == "ext":
-        method = args.method
-        if method is None:
-            method = "smith" if model.ring.nvars == 1 else "truncate"
-        even, odd = ext_dims(fact, fact, method=method)
-        return {"command": "mf", "action": "ext", "method": method,
-                "even": even, "odd": odd}
     # argparse's choices leave graded-audit
     return {"command": "mf", "action": "graded-audit", "verified": True,
             "graded_degrees": verify_graded_degrees(fact),

@@ -56,26 +56,20 @@ class BadFunctional(LGError):
 
 class UnitCurvature(LGError):
     """The curvature is a multiple of the unit, so normalized chains see
-    none of it and ordinary HH has no window to settle on."""
+    none of it and ordinary HH has no curvature to contract by."""
 
 
 class InfiniteCarrier(LGError):
     """Operation requires a finite-dimensional carrier."""
 
 
-class NoStabilization(LGError):
-    """An ordinary HH value did not settle within its tensor window
-    (``linalg.settle``), or a window is over its size limit."""
+class WindowTooLarge(LGError):
+    """A window is over its size limit, refused before it is built: the
+    one chain window of ordinary HH (``MAX_WINDOW_TENSORS``), the chain
+    bases of the Borel-Moore degrees asked for (``MAX_BM_TENSORS``), or the
+    polyvector bases of a Koszul homology (``MAX_KOSZUL_BASIS``)."""
 
     exit_code = 4
-
-
-class WindowTooLarge(NoStabilization):
-    """A window is over its size limit, refused before it is built: the
-    chain window an ordinary HH value needs to settle
-    (``MAX_WINDOW_TENSORS``), the chain bases of the Borel-Moore degrees
-    asked for (``MAX_BM_TENSORS``), or the polyvector bases of a Koszul
-    homology (``MAX_KOSZUL_BASIS``)."""
 
 
 class FactorizationInvalid(LGError):

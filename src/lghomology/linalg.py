@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import CompositionNonzero, NoStabilization, ShapeMismatch
+from .errors import CompositionNonzero, ShapeMismatch
 
 
 def add_to(acc, key, val):
@@ -30,28 +30,6 @@ def add_to(acc, key, val):
         acc[key] = s
     elif cur is not None:
         del acc[key]
-
-
-def settle(values, message):
-    """The first value equal to its predecessor, as (value, position).
-
-    ``values`` is a lazy iterable of (position, value) pairs, one per window
-    size, smallest first; nothing after the agreeing pair is computed.
-    Raises ``NoStabilization(message)`` if the values run out first.
-
-    Accepting a value because two consecutive windows agree is a heuristic,
-    not a proof: a class that first appears in a larger window is missed.
-    It serves ordinary HH (``hh_ordinary``) only, which certifies the value
-    it stops at by the contracting homotopy.  Borel-Moore HH is read at one
-    shift, proven exact (``hh_bm_graded``), and ``truncate`` Ext sums over
-    the degrees graded Serre duality leaves (``mf.ext_dims``).
-    """
-    prev = object()     # equal to no value
-    for pos, val in values:
-        if val == prev:
-            return val, pos
-        prev = val
-    raise NoStabilization(message)
 
 
 class Field:

@@ -2,7 +2,8 @@
 
 A factorization is a free module E0 + E1 with one odd map
 D = [[0, P1], [P0, 0]] squaring to W times the identity; verification, the
-Hom differential and the graded degree audit all read D.  Morphism spaces
+Hom differential and the graded degree audit all read D, which each
+factorization builds once (``MatrixFactorization.odd_map``).  Morphism spaces
 carry the two-periodic commutator differential, which squares to zero
 because both D's square to W.  Their cohomology is computed exactly:
 over univariate rings from one diagonalization of each differential over
@@ -19,6 +20,7 @@ entries carry the rescaled grading 2(|f| - b + a)/d - (l - k).
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import (DegreeConstraintViolated, FactorizationInvalid,
                      MethodUnsupported, ModelMismatch, NonIsolated,
@@ -118,6 +120,11 @@ class MatrixFactorization:
     def rank1(self):
         return self.P0.nrows
 
+    @cached_property
+    def odd_map(self):
+        """D, built once by ``_odd_map``; every reader of D reads this."""
+        return _odd_map(self)
+
 
 def _odd_map(mf):
     """D = [[0, P1], [P0, 0]] on E0 + E1, rows and columns E0 first."""
@@ -128,7 +135,7 @@ def _odd_map(mf):
 
 def verify_mf(mf):
     """True iff D.D = W times the identity."""
-    D = _odd_map(mf)
+    D = mf.odd_map
     return D @ D == PolyMatrix.identity(mf.model.ring, D.nrows,
                                         mf.model.potential)
 
@@ -242,7 +249,7 @@ def hom_complex(src, dst):
         if not verify_mf(mf):
             raise FactorizationInvalid(
                 "compositions do not equal W times the identity")
-    DE, DF = _odd_map(src), _odd_map(dst)
+    DE, DF = src.odd_map, dst.odd_map
     entries = [_hom_entries(src, dst, parity) for parity in (0, 1)]
     return HomComplex(_flatten_d(DE, DF, entries, 0),
                       _flatten_d(DE, DF, entries, 1), *entries)
@@ -319,7 +326,7 @@ def _entry_shifts(mf):
     factorization when T[r] - T[c] is the shift of every entry."""
     d = mf.model.degree
     return [(r, c, 2 * p.degree() - d if p.is_homogeneous() else None)
-            for r, row in enumerate(_odd_map(mf).data)
+            for r, row in enumerate(mf.odd_map.data)
             for c, p in enumerate(row) if p]
 
 
@@ -429,7 +436,8 @@ def ext_dims(src, dst, method="smith"):
         sigma = socle_degree(model)
         if jacobi_data(model).milnor is INFINITE:
             raise NonIsolated("critical points are not isolated")
-        TE, TF = _doubled_twists(src), _doubled_twists(dst)
+        TE = _doubled_twists(src)
+        TF = TE if dst is src else _doubled_twists(dst)
         degrees = range(min(TE) - max(TF), sigma - min(TF) + max(TE) + 1)
         pieces = _ext_pieces(hom, (TE, TF), model.degree, degrees)
         return tuple(sum(piece[p] for piece in pieces) for p in (0, 1))

@@ -333,55 +333,50 @@ def cross_product(action, powers, potential_terms, field=None):
 # The per-sector restriction of cross-product chains
 
 
-def psi_map(cp, chain):
-    """Image of a cross-product basis tensor under the sector restriction.
-
-    ``chain`` is a tuple of cross-product basis indices.  Returns
-    (g, scalar, base tensor) where g is the product of the group parts and
-    the slots have been rotated by the prefix products; returns None when
-    the restriction to the fixed subspace kills the tensor.  The rotations
-    add up as powers of zeta_L, so one root is read at the end.
-    """
-    action = cp.action
-    elems = [cp.elements[i] for i in chain]
-    g_total = action.identity
-    for _m, g in elems:
-        g_total = action.char_add(g_total, g)
-    fv = cp.fixed[g_total]
-    power = 0
-    prefix = action.identity
-    for m, g in elems:
-        if any(e and v not in fv for v, e in enumerate(m)):
-            return None
-        power += action.power(prefix, cp.chars[m])
-        prefix = action.char_add(prefix, g)
-    return (g_total, cp.roots[power % action.root_order],
-            tuple(m for m, _g in elems))
-
-
 def psi_matrices(cp, max_tensor):
     """Per-sector blocks of the sector-restriction map on a chain window.
+
+    A cross-product tensor (m_0 # g_0 | .. | m_k # g_k) restricts to the
+    sector of g = g_0 ... g_k as the base tensor (m_0 | .. | m_k) times
+    zeta_L^p, where p sums power(g_0 ... g_{j-1}, char m_j) over the slots:
+    each slot is rotated by the group parts before it.  It is killed when a
+    monomial uses a variable that g does not fix.  The prefix product, p and
+    the variables used are carried from each tensor of degree k - 1 to its
+    extensions of degree k, so each slot is read once.
 
     Returns the cross-product window, ``sectors[g]`` = (chain window, base
     monomials, their index map) of each sector, and ``psi[g][k]``, the
     block from tensor degree k of the cross product to that of sector g.
     """
     from .hochschild import ChainWindow
+    action = cp.action
     win = ChainWindow(cp.algebra, max_tensor, normalized=False)
     sectors = {}
     for g in cp.group:
         alg, keep, idx = cp.sector_algebra(g)
         sectors[g] = (ChainWindow(alg, max_tensor, normalized=False), keep, idx)
+    monos = [m for m, _g in cp.elements]
+    # step[h, i]: for element i = m # g after prefix h, the prefix h g, the
+    # power m is rotated by, and the bit mask of the variables m uses
+    step = {(h, i): (action.char_add(h, g), action.power(h, cp.chars[m]),
+                     sum(1 << v for v, e in enumerate(m) if e))
+            for h in cp.group for i, (m, g) in enumerate(cp.elements)}
+    moved = {g: sum(1 << v for v in range(len(cp.powers))
+                    if v not in cp.fixed[g]) for g in cp.group}
+    carried = {(): (action.identity, 0, 0)}
     psi = {g: {} for g in cp.group}
     for k in range(max_tensor + 1):
         ent = {g: {} for g in cp.group}
+        extended = {}
         for col, t in enumerate(win.bases[k]):
-            image = psi_map(cp, t)
-            if image is None:
-                continue
-            g, scalar, monos = image
-            swin, _keep, idx = sectors[g]
-            ent[g][(swin.index[k][tuple(idx[m] for m in monos)], col)] = scalar
+            h, power, used = carried[t[:-1]]
+            g, turn, uses = step[h, t[-1]]
+            g, power, used = extended[t] = g, power + turn, used | uses
+            if not used & moved[g]:
+                swin, _keep, idx = sectors[g]
+                row = swin.index[k][tuple(idx[monos[i]] for i in t)]
+                ent[g][(row, col)] = cp.roots[power % action.root_order]
+        carried = extended
         for g, (swin, _keep, _idx) in sectors.items():
             psi[g][k] = Matrix(swin.dim(k), win.dim(k), cp.field, ent[g])
     return win, sectors, psi

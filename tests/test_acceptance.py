@@ -65,7 +65,7 @@ def test_criterion_4_vanishing_theorem():
     start = time.monotonic()
     for power, curv in ((2, {1: 1}), (3, {2: 1})):
         alg = FiniteCurvedAlgebra.truncated_polynomial(power, curv)
-        rep = hh_ordinary(alg, max_tensor=10)
+        rep = hh_ordinary(alg)
         assert rep.dims == {0: 0, 1: 0}
     assert time.monotonic() - start < 30.0
     ok(4)

@@ -10,8 +10,8 @@ import lghomology.koszul as koszul
 
 from lghomology.cli import MAX_GROUP_ORDER, main, parse_model_file
 from lghomology.errors import (FactorizationInvalid, MethodUnsupported,
-                               NoStabilization, NonIsolated,
-                               NonIsolatedSector, ParseError)
+                               NonIsolated, NonIsolatedSector, ParseError,
+                               WindowTooLarge)
 from lghomology.linalg import PRIME_BOUND
 from lghomology.orbifold import GroupAction
 from lghomology.poly import MAX_LITERAL_DIGITS, MAX_POWER_DEGREE
@@ -117,6 +117,18 @@ def test_hh_ordinary_vanishes_over_prime_field(tmp_path, capsys):
                                 "--format", "machine"])
     assert code == 0
     assert json.loads(out)["dims"] == {"even": 0, "odd": 0}
+
+
+def test_window_tensor_changes_nothing(tmp_path, capsys):
+    # ordinary HH is proved on one window whatever window tensor= says
+    outs = []
+    for window in ("window tensor=4\n", "window tensor=10\n", ""):
+        path = write(tmp_path, "x2.lg", X2_FINITE + window)
+        code, out, _ = run(capsys, ["hh", path, "--variant", "ordinary",
+                                    "--format", "machine"])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_hh_compact_cohomology(tmp_path, capsys):
@@ -250,6 +262,30 @@ def test_mf_ext_verifies_the_factorization(tmp_path, capsys, text):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("action", [
+    ["verify"], ["ext"], ["ext", "--method", "truncate"], ["graded-audit"]])
+def test_mf_builds_d_once_and_checks_it_once(tmp_path, capsys, monkeypatch,
+                                             action):
+    import lghomology.mf as mf_module
+    calls = []
+    for name in ("_odd_map", "verify_mf"):
+        real = getattr(mf_module, name)
+        monkeypatch.setattr(mf_module, name, lambda f, name=name, real=real: (
+            calls.append(name) or real(f)))
+    model = write(tmp_path, "x3.lg", X3)
+    # with twists, graded-audit reads D a second time
+    fact = write(tmp_path, "x3.mf", MF_X3 + "twists0 0\ntwists1 1\n")
+    code, out, _ = run(capsys, ["mf", model, fact, *action,
+                                "--format", "machine"])
+    assert code == 0 and json.loads(out)["command"] == "mf"
+    assert sorted(calls) == ["_odd_map", "verify_mf"]
+    # a wrong factorization exits 5 with one message under every action
+    fact = write(tmp_path, "bad.mf", MF_X3_BAD)
+    code, out, err = run(capsys, ["mf", model, fact, *action])
+    assert (code, out) == (FactorizationInvalid.exit_code, "")
+    assert err == "error: compositions do not equal W times the identity\n"
+
+
 def test_truncate_ext_refuses_a_nonisolated_potential(tmp_path, capsys):
     # x^2*y is not isolated, so graded Serre duality bounds no degree of
     # the Ext of x * xy
@@ -364,8 +400,7 @@ def test_repeated_bm_degree_exits_parse(tmp_path, capsys):
 
 
 def test_window_below_one_is_rejected(tmp_path, capsys):
-    # parity 1 settles on caps 1, 3, ... below the window, so windows 1-3
-    # could never settle either
+    # window tensor= changes nothing, but a value below 4 is still refused
     for window in (0, 1, 2, 3):
         path_w = write(tmp_path, "x2w.lg",
                        X2_FINITE + "window tensor=%d\n" % window)
@@ -431,7 +466,7 @@ def test_huge_prime_is_refused_fast(tmp_path, capsys, prime):
 
 @pytest.mark.parametrize("powers", ["6 6", "1000 1000"])
 def test_oversized_ordinary_window_is_refused_first(tmp_path, capsys, powers):
-    # the smallest window that can settle holds 55.6 million tensors over
+    # the one window ordinary HH reads holds 55.6 million tensors over
     # 6 6; over 1000 1000 even the carrier (10^12 products) is never built
     path = write(tmp_path, "big.lg", "variables x y\npotential x*y\n"
                  "carrier truncated %s\n" % powers)
@@ -439,7 +474,7 @@ def test_oversized_ordinary_window_is_refused_first(tmp_path, capsys, powers):
     code, out, err = run(capsys, ["hh", path, "--variant", "ordinary",
                                   "--format", "machine"])
     assert time.perf_counter() - start < 0.5
-    assert code == NoStabilization.exit_code and out == ""
+    assert code == WindowTooLarge.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
 
 
@@ -452,7 +487,7 @@ def test_oversized_bm_degrees_are_refused_first(tmp_path, capsys, degrees):
     code, out, err = run(capsys, ["hh", path, "--variant", "bm",
                                   "--format", "machine"])
     assert time.perf_counter() - start < 1.0
-    assert code == NoStabilization.exit_code and out == ""
+    assert code == WindowTooLarge.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
 
 
@@ -465,7 +500,7 @@ def test_oversized_koszul_complex_is_refused_first(tmp_path, capsys,
     monkeypatch.setattr(koszul, "_dW_map", lambda *a: built.append(a))
     path = write(tmp_path, "x3.lg", X3)
     code, out, err = run(capsys, ["koszul", path, "--format", "machine"])
-    assert code == NoStabilization.exit_code and out == ""
+    assert code == WindowTooLarge.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
     assert built == []
 
@@ -477,7 +512,7 @@ def test_large_koszul_complex_is_refused_fast(tmp_path, capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, ["koszul", path, "--format", "machine"])
     assert time.perf_counter() - start < 1.0
-    assert code == NoStabilization.exit_code and out == ""
+    assert code == WindowTooLarge.exit_code and out == ""
     assert "error" in err and "Traceback" not in err
 
 

@@ -1,26 +1,28 @@
 """Curved chain and cochain complexes and their windowed homology."""
 
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 
 from conftest import make_model, record_eliminations
 from lghomology.errors import (BadFunctional, InfiniteCarrier,
-                               NoStabilization, ParityViolation,
-                               PositiveDegreeCarrier, UnitCurvature,
-                               WindowTooLarge, WindowTooSmall)
+                               ParityViolation, PositiveDegreeCarrier,
+                               UnitCurvature, WindowTooLarge, WindowTooSmall)
 from lghomology.hochschild import (ChainWindow, CochainWindow,
                                    FiniteCurvedAlgebra, HomologyReport,
-                                   PureCurvatureSpace, bar_minus, bar_plus,
+                                   MIN_TENSOR_WINDOW, PureCurvatureSpace,
+                                   _contract, bar_minus, bar_plus,
                                    bm_spot_homology, check_bm_window,
                                    check_window, compact_type_check,
                                    hh_bm_graded, hh_ordinary,
-                                   mixed_complex_check, poly_boundary_minus,
+                                   mixed_complex_check,
+                                   ordinary_differential, poly_boundary_minus,
                                    poly_boundary_plus, poly_chain_basis,
                                    vanishing_homotopy,
                                    vanishing_homotopy_cochain)
 from lghomology.jacobi import canonical_module
-from lghomology.linalg import QQ, Matrix, PrimeField, rank
+from lghomology.linalg import QQ, Matrix, PrimeField, homology_dim, rank
 from lghomology.orbifold import GroupAction, cross_product
 
 
@@ -299,13 +301,13 @@ def test_flat_cohomology_of_truncated_polynomial_oracle(field, n):
 
 def test_ordinary_homology_vanishes_x2():
     alg = FiniteCurvedAlgebra.truncated_polynomial(2, {1: 1})
-    rep = hh_ordinary(alg, max_tensor=10)
+    rep = hh_ordinary(alg)
     assert rep.dims == {0: 0, 1: 0}
 
 
 def test_ordinary_homology_vanishes_x3():
     alg = FiniteCurvedAlgebra.truncated_polynomial(3, {2: 1})
-    rep = hh_ordinary(alg, max_tensor=10)
+    rep = hh_ordinary(alg)
     assert rep.dims == {0: 0, 1: 0}
 
 
@@ -318,7 +320,7 @@ def test_ordinary_builds_boundaries_only_up_to_the_settled_cap(monkeypatch):
             sources.append(k)
             return part(win, k)
         monkeypatch.setattr(ChainWindow, name, recorded)
-    rep = hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+    rep = hh_ordinary(trunc(4, {2: 3}))
     assert rep.dims == {0: 0, 1: 0}
     assert rep.stabilization == {0: 2, 1: 3}
     assert sources and max(sources) <= max(rep.stabilization.values())
@@ -333,18 +335,20 @@ def test_ordinary_assembles_each_differential_once(monkeypatch):
         assembled.append((tuple(src), tuple(dst)))
         return real_total(src, dst, dims, block, field)
     monkeypatch.setattr(hochschild, "_total", recorded)
-    rep = hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+    rep = hh_ordinary(trunc(4, {2: 3}))
     assert rep.dims == {0: 0, 1: 0}
-    # differential(0, 2) is d_out at (0, 2) and d_in at (1, 3)
-    assert ((0, 2), (1, 3)) in assembled
-    assert len(assembled) == len(set(assembled))
+    # caps 1, 2 and 3; the one at cap 2 is the d_out of parity 0 and the
+    # d_in of parity 1
+    assert assembled == [((1,), (0, 2)), ((0, 2), (1, 3)),
+                         ((1, 3), (0, 2, 4))]
 
 
 def test_ordinary_eliminates_each_differential_once(monkeypatch):
     eliminated = record_eliminations(monkeypatch)
-    rep = hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+    rep = hh_ordinary(trunc(4, {2: 3}))
     assert rep.dims == {0: 0, 1: 0}
-    # differential(0, 2) is d_out at (0, 2) and d_in at (1, 3)
+    # the differential at cap 2 is the d_out of parity 0 and the d_in of
+    # parity 1
     assert len(eliminated) == len(set(map(id, eliminated)))
 
 
@@ -359,18 +363,10 @@ def test_ordinary_windows_stop_one_past_the_settled_cap(monkeypatch):
     for alg in (trunc(4, {2: 3}),
                 FiniteCurvedAlgebra.truncated((2, 2), {(1, 1): 1}, QQ)):
         tops.clear()
-        rep = hh_ordinary(alg, max_tensor=8)
-        assert tops and max(tops) <= max(rep.stabilization.values()) + 1
-
-
-def test_ordinary_reports_the_parity_that_does_not_settle():
-    # parity 0 reads caps 0, 2, ... and parity 1 caps 1, 3, ...; each needs
-    # two caps below the window
-    for parity, window in ((0, 2), (1, 3)):
-        message = "^parity %d did not settle within tensor window %d$" % (
-            parity, window)
-        with pytest.raises(NoStabilization, match=message):
-            hh_ordinary(trunc(4, {2: 3}), max_tensor=window)
+        rep = hh_ordinary(alg)
+        # one window per call, one past the last cap read
+        assert tops == [MIN_TENSOR_WINDOW] == \
+            [max(rep.stabilization.values()) + 1]
 
 
 def test_check_window_counts_the_normalized_window():
@@ -385,8 +381,6 @@ def test_check_window_counts_the_normalized_window():
 def test_ordinary_refuses_a_window_over_the_limit_before_building_it(
         monkeypatch):
     import lghomology.hochschild as hochschild
-    # over k[x]/x^4 the windows up to tensor degree 0, 1, 2 hold 4, 16, 52
-    monkeypatch.setattr(hochschild, "MAX_WINDOW_TENSORS", 50)
     tops = []
     real_init = ChainWindow.__init__
 
@@ -394,10 +388,15 @@ def test_ordinary_refuses_a_window_over_the_limit_before_building_it(
         tops.append(max_tensor)
         real_init(win, algebra, max_tensor, *rest)
     monkeypatch.setattr(ChainWindow, "__init__", recorded)
-    with pytest.raises(WindowTooLarge):
-        hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
-    assert tops == [0, 1]
-    assert issubclass(WindowTooLarge, NoStabilization)
+    # over k[x]/x^4 the window up to tensor degree 4 holds 484 tensors
+    with monkeypatch.context() as m:
+        m.setattr(hochschild, "MAX_WINDOW_TENSORS", 483)
+        with pytest.raises(WindowTooLarge):
+            hh_ordinary(trunc(4, {2: 3}))
+    assert tops == []
+    assert WindowTooLarge.exit_code == 4
+    hh_ordinary(trunc(4, {2: 3}))
+    assert tops == [4]
 
 
 @pytest.mark.parametrize("alg", [
@@ -413,7 +412,7 @@ def test_ordinary_refuses_unit_curvature_before_building_a_window(
     with pytest.raises(UnitCurvature):
         hh_ordinary(alg)
     assert built == []
-    assert not issubclass(UnitCurvature, NoStabilization)
+    assert UnitCurvature.exit_code != WindowTooLarge.exit_code
 
 
 def test_ordinary_rejects_flat_algebra():
@@ -430,10 +429,47 @@ CERTIFIED_CARRIERS = [
     ((4,), {(0,): 1, (2,): 1}, QQ), ((3,), {(0,): 1, (1,): 2}, QQ)]
 
 
+CERTIFIED_IDS = ["x3-3x2", "x4-5x2", "x4-x2+2x3", "x2y3-xy", "x3y3-x2-y2",
+                 "x4-3x2-gf7", "x4-1+x2", "x3-1+2x"]
+
+
 @pytest.mark.parametrize("powers, curvature, field", CERTIFIED_CARRIERS,
-                         ids=["x3-3x2", "x4-5x2", "x4-x2+2x3", "x2y3-xy",
-                              "x3y3-x2-y2", "x4-3x2-gf7", "x4-1+x2",
-                              "x3-1+2x"])
+                         ids=CERTIFIED_IDS)
+def test_the_verified_homotopy_makes_every_truncation_acyclic(
+        powers, curvature, field):
+    # the lemma hh_ordinary rests on: on its one window, _contract passes
+    # and the truncated homology is 0 at every cap it covers, 0 to 3
+    alg = FiniteCurvedAlgebra.truncated(
+        powers, {m: field.from_int(c) for m, c in curvature.items()}, field)
+    win = ChainWindow(alg, MIN_TENSOR_WINDOW)
+    first = min(b for b in alg.curvature if b != alg.unit)
+    _contract(win, {first: field.one})
+    maps = [ordinary_differential(win, cap)
+            for cap in range(-1, MIN_TENSOR_WINDOW)]
+    assert [homology_dim(d_in, d_out) for d_in, d_out in pairwise(maps)] \
+        == [0] * MIN_TENSOR_WINDOW
+
+
+def test_ordinary_reads_two_values_on_one_window(monkeypatch):
+    import lghomology.hochschild as hochschild
+    built, contracted, read = [], [], []
+    real_init, real_contract = ChainWindow.__init__, hochschild._contract
+
+    def init(win, *args):
+        built.append(win)
+        real_init(win, *args)
+    monkeypatch.setattr(ChainWindow, "__init__", init)
+    monkeypatch.setattr(hochschild, "_contract", lambda win, L: (
+        contracted.append(win) or real_contract(win, L)))
+    monkeypatch.setattr(hochschild, "homology_dim", lambda d_in, d_out: (
+        read.append(d_out) or homology_dim(d_in, d_out)))
+    rep = hh_ordinary(trunc(4, {2: 3}))
+    assert rep.dims == {0: 0, 1: 0}
+    assert contracted == built and len(read) == 2
+
+
+@pytest.mark.parametrize("powers, curvature, field", CERTIFIED_CARRIERS,
+                         ids=CERTIFIED_IDS)
 def test_ordinary_certifies_its_zero_by_the_homotopy(monkeypatch, powers,
                                                      curvature, field):
     import lghomology.hochschild as hochschild
@@ -446,7 +482,7 @@ def test_ordinary_certifies_its_zero_by_the_homotopy(monkeypatch, powers,
     monkeypatch.setattr(hochschild, "_contract", recorded)
     alg = FiniteCurvedAlgebra.truncated(
         powers, {m: field.from_int(c) for m, c in curvature.items()}, field)
-    rep = hh_ordinary(alg, max_tensor=8)
+    rep = hh_ordinary(alg)
     assert rep.dims == {0: 0, 1: 0}
     first = min(b for b in alg.curvature if b != alg.unit)
     # the normalized window of the last differential, L dual to a non-unit
@@ -461,10 +497,10 @@ def test_ordinary_canary_a_wrong_homotopy_or_value_raises(monkeypatch):
         m.setattr(hochschild, "homotopy",
                   lambda win, L, k: -real(win, L, k))
         with pytest.raises(AssertionError, match="homotopy identity fails"):
-            hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+            hh_ordinary(trunc(4, {2: 3}))
     monkeypatch.setattr(hochschild, "homology_dim", lambda d_in, d_out: 1)
     with pytest.raises(AssertionError, match="not 0"):
-        hh_ordinary(trunc(4, {2: 3}), max_tensor=8)
+        hh_ordinary(trunc(4, {2: 3}))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lghomology
-from lghomology.errors import CompositionNonzero, NoStabilization
+from lghomology.errors import CompositionNonzero
 from lghomology.linalg import (CycElement, CyclotomicField, Matrix,
-                               PrimeField, QQ, add_to, homology_dim, rank,
-                               settle)
+                               PrimeField, QQ, add_to, homology_dim, rank)
 
 
 def test_rank_simple():
@@ -332,33 +331,6 @@ def test_add_to_is_the_only_accumulator_in_the_package():
             if "elif cur is not None:" in line:
                 found.append((path.name, owners.get(n)))
     assert found == [("linalg.py", "add_to")]
-
-
-def test_settle_returns_the_first_agreement_and_its_position():
-    values = [(2, 5), (4, 1), (6, 1), (8, 1)]
-    assert settle(iter(values), "unused") == (1, 6)
-    assert settle(iter([(0, (1, 0)), (1, (1, 0))]), "unused") == ((1, 0), 1)
-
-
-def test_settle_computes_nothing_after_the_agreement():
-    def windows():
-        yield 0, 3
-        yield 1, 2
-        yield 2, 2
-        raise AssertionError("a window after the agreement was computed")
-
-    assert settle(windows(), "unused") == (2, 2)
-
-
-@pytest.mark.parametrize("values", [[], [(0, 1)], [(0, 1), (1, 2), (2, 1)]])
-def test_settle_raises_when_the_values_run_out(values):
-    with pytest.raises(NoStabilization, match="^did not settle in 3$"):
-        settle(iter(values), "did not settle in 3")
-
-
-def test_settle_is_a_heuristic_that_misses_a_late_class():
-    # Two agreeing windows are accepted even when a later window differs.
-    assert settle(iter([(1, 0), (2, 0), (3, 1), (4, 1)]), "unused") == (0, 2)
 
 
 def _library_matrices(field):

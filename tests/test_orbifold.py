@@ -11,7 +11,7 @@ from lghomology.errors import (BadCharacteristic, NonIsolatedSector,
 from lghomology.linalg import CyclotomicField, PrimeField, QQ
 from lghomology.orbifold import (GroupAction, coinvariant_dims, cross_product,
                                  fixed_locus, orbifold_hh_bm, psi_chain_check,
-                                 psi_map, restrict_potential, sector_hh_bm)
+                                 psi_matrices, restrict_potential, sector_hh_bm)
 
 
 def quartic_setup():
@@ -259,18 +259,33 @@ def test_cross_product_field_coefficients():
             cross_product(GroupAction.cyclic(2, (1,)), (3,), {}, field=field)
 
 
+def psi_image(cp, chain):
+    """(sector, scalar, base tensor) of a cross-product basis tensor under
+    the sector restriction, read off ``psi_matrices``; None when killed."""
+    k = len(chain) - 1
+    win, sectors, psi = psi_matrices(cp, k)
+    col = win.index[k][chain]
+    hits = [(g, row, v) for g in cp.group
+            for (row, c), v in psi[g][k].entries.items() if c == col]
+    if not hits:
+        return None
+    [(g, row, scalar)] = hits
+    swin, keep, _idx = sectors[g]
+    return g, scalar, tuple(keep[i] for i in swin.bases[k][row])
+
+
 def test_psi_map_examples():
     action = GroupAction.cyclic(2, (1,))
     cp = cross_product(action, (2,), {(0,): 0})
     # a pure identity-sector tensor restricts with scalar one
     chain = (cp.index[((1,), (0,))], cp.index[((1,), (0,))])
-    g, scalar, monos = psi_map(cp, chain)
+    g, scalar, monos = psi_image(cp, chain)
     assert g == (0,)
     assert scalar == cp.field.one
     assert monos == ((1,), (1,))
     # odd total sector fixes nothing: tensors carrying x are killed
     chain = (cp.index[((1,), (1,))], cp.index[((0,), (0,))])
-    assert psi_map(cp, chain) is None
+    assert psi_image(cp, chain) is None
 
 
 def test_psi_map_rotation_scalar():
@@ -278,7 +293,7 @@ def test_psi_map_rotation_scalar():
     cp = cross_product(action, (2,), {(0,): 0})
     # prefix g rotates the later slot: (1 # g) | (x # g) since total is even
     chain = (cp.index[((0,), (1,))], cp.index[((1,), (1,))])
-    g, scalar, monos = psi_map(cp, chain)
+    g, scalar, monos = psi_image(cp, chain)
     assert g == (0,)
     assert scalar == cp.field.from_int(-1)
     assert monos == ((0,), (1,))
