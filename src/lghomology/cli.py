@@ -27,6 +27,7 @@ Borel-Moore degrees over ``MAX_BM_TENSORS`` or Koszul bases over
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -492,5 +493,18 @@ def main(argv=None):
     return 0
 
 
+def entry():
+    """Process entry of ``lgh`` and ``python -m lghomology.cli``.
+
+    Runs ``main``, then freezes every live object, so that the collections
+    the interpreter runs at shutdown skip what the job created or imported,
+    and exits with ``main``'s code.  Flushing, ``atexit`` and refcount
+    teardown still run.  ``main`` itself leaves collection alone.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

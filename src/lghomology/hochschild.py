@@ -11,10 +11,10 @@ Borel-Moore homology is read at one shift of the first-quadrant complex,
 which is exact by the Hochschild-Kostant-Rosenberg argument in
 ``hh_bm_graded``.
 
-Every chain boundary matrix -- finite algebras, pure-curvature spaces,
-cross products and the graded polynomial ring -- is built by the bar-complex
-engine ``bar_minus``/``bar_plus``; the chain signs live there and nowhere
-else.  Positions after the zeroth slot count with alternating signs; the
+Every chain boundary matrix -- finite algebras, cross products and the
+graded polynomial ring -- is built by the bar-complex engine
+``bar_minus``/``bar_plus``; the chain signs live there and nowhere else.
+Positions after the zeroth slot count with alternating signs; the
 wrap-around term additionally carries the Koszul sign of moving the last
 element past the others, and a curvature insertion the Koszul sign of
 moving W past the slots it jumps (cohomological degrees, when present,
@@ -26,10 +26,11 @@ last slot of any chain window with a functional L, L(W) = 1; ``_contract``
 verifies h.B + B.h = id on it, and the cochain homotopy is its transpose
 on a ``CochainWindow``.
 
-Every total complex -- the direct-sum one of ordinary HH, the
-first-quadrant one of Borel-Moore HH, and the sum over orbifold sectors --
-is assembled from its blocks by ``_total``, which takes the differential as
-one rule giving the component between two spaces.
+Both total complexes -- the direct-sum one of ordinary HH
+(``ordinary_differential``) and the first-quadrant one of Borel-Moore HH
+(``_bm_differential``) -- are assembled from their blocks by ``_total``,
+which takes the differential as one rule giving the component between two
+spaces.
 
 Homology is read spot by spot along a complex: consecutive differentials of
 a lazy sequence (``itertools.pairwise``) are the d_in and d_out of one spot,
@@ -355,21 +356,7 @@ def mixed_complex_check(algebra, max_tensor):
 
 
 # ---------------------------------------------------------------------------
-# Pure-curvature algebras and the contracting homotopy
-
-
-class PureCurvatureSpace(FiniteCurvedAlgebra):
-    """Vector space with a distinguished element and no multiplication.
-
-    It is a curved algebra with the zero product, no unit and every basis
-    element even; its chains are unnormalized.
-    """
-
-    def __init__(self, dim_, curvature, field=QQ):
-        super().__init__(dim_, {}, curvature, unit=None, field=field,
-                         check=False)
-        if not self.curvature:
-            raise ValueError("curvature element must be nonzero")
+# The contracting homotopy
 
 
 def homotopy(win, L, k):

@@ -9,10 +9,9 @@ import time
 from fractions import Fraction
 
 from conftest import make_model
-from lghomology.hochschild import (FiniteCurvedAlgebra, PureCurvatureSpace,
-                                   compact_type_check, hh_bm_graded,
-                                   hh_ordinary, mixed_complex_check,
-                                   vanishing_homotopy,
+from lghomology.hochschild import (FiniteCurvedAlgebra, compact_type_check,
+                                   hh_bm_graded, hh_ordinary,
+                                   mixed_complex_check, vanishing_homotopy,
                                    vanishing_homotopy_cochain)
 from lghomology.jacobi import canonical_module, jacobi_data
 from lghomology.koszul import (koszul_concentrated, koszul_homology_dims,
@@ -76,7 +75,7 @@ def test_criterion_5_homotopy_identities():
     for _ in range(5):
         dim = rng.randint(2, 3)
         curv = {rng.randrange(dim): QQ.from_int(rng.choice([1, 2, -1]))}
-        space = PureCurvatureSpace(dim, curv)
+        space = FiniteCurvedAlgebra(dim, {}, curv, unit=None, check=False)
         L = {b: QQ.from_int(rng.choice([1, 2]))
              for b in range(dim) if rng.random() < 0.7}
         target = next(iter(curv))

@@ -11,9 +11,8 @@ from lghomology.errors import (BadFunctional, InfiniteCarrier,
                                UnitCurvature, WindowTooLarge, WindowTooSmall)
 from lghomology.hochschild import (ChainWindow, CochainWindow,
                                    FiniteCurvedAlgebra, HomologyReport,
-                                   MIN_TENSOR_WINDOW, PureCurvatureSpace,
-                                   _contract, bar_minus, bar_plus,
-                                   bm_spot_homology, check_bm_window,
+                                   MIN_TENSOR_WINDOW, _contract, bar_minus,
+                                   bar_plus, bm_spot_homology, check_bm_window,
                                    check_window, compact_type_check,
                                    hh_bm_graded, hh_ordinary,
                                    mixed_complex_check,
@@ -99,32 +98,44 @@ def test_chain_window_square_zero_each_part():
 
 
 # ---------------------------------------------------------------------------
-# Contracting homotopies in the pure-curvature setting
+# Contracting homotopies on zero-product carriers
+
+
+def zero_product(dim, curvature):
+    """k^dim with the zero product, no unit and curvature W."""
+    return FiniteCurvedAlgebra(dim, {}, curvature, unit=None, check=False)
 
 
 def test_chain_homotopy_identity():
-    space = PureCurvatureSpace(3, {1: QQ.one, 2: QQ.from_int(2)})
+    space = zero_product(3, {1: QQ.one, 2: QQ.from_int(2)})
     L = {1: QQ.one}
     h = vanishing_homotopy(space, L, 6)
     assert set(h) == set(range(7))
 
 
 def test_cochain_homotopy_identity():
-    space = PureCurvatureSpace(3, {1: QQ.one, 2: QQ.from_int(2)})
+    space = zero_product(3, {1: QQ.one, 2: QQ.from_int(2)})
     L = {2: QQ.one}
     vanishing_homotopy_cochain(space, L, 6)
 
 
 def test_homotopy_rejects_vanishing_functional():
-    space = PureCurvatureSpace(2, {1: QQ.one})
+    space = zero_product(2, {1: QQ.one})
     with pytest.raises(BadFunctional):
         vanishing_homotopy(space, {0: QQ.one}, 4)
     with pytest.raises(BadFunctional):
         vanishing_homotopy_cochain(space, {0: QQ.one}, 4)
 
 
+def test_homotopy_rejects_zero_curvature():
+    space = zero_product(2, {0: QQ.zero, 1: QQ.zero})
+    assert space.curvature == {}
+    with pytest.raises(BadFunctional):
+        vanishing_homotopy(space, {0: QQ.one, 1: QQ.one}, 4)
+
+
 def test_homotopy_unnormalized_functional_is_rescaled():
-    space = PureCurvatureSpace(2, {1: QQ.from_int(3)})
+    space = zero_product(2, {1: QQ.from_int(3)})
     vanishing_homotopy(space, {1: QQ.from_int(5)}, 4)
 
 

@@ -1,8 +1,10 @@
-"""What a fresh `lgh` process imports.
+"""What a fresh `lgh` process imports, and how it exits.
 
 Without a bytecode cache every run compiles each module it imports, so a
 subcommand loads only the modules it uses: `mf` and `koszul` load on
-demand, and no module imports `dataclasses`.
+demand, and no module imports `dataclasses`.  A process freezes the
+objects it leaves alive before the interpreter shuts down, and prints
+what `main` prints in-process; `main` itself freezes nothing.
 """
 
 import json
@@ -30,12 +32,39 @@ print(json.dumps({"codes": codes,
 """ % (WATCHED,)
 
 
-def probe(tmp_path, runs):
+# Run each argv through main() in this process and report what it printed,
+# its exit code and the freeze count after all of them.
+IN_PROCESS = """
+import contextlib, gc, io, json, sys
+from lghomology.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps({"runs": runs, "frozen": gc.get_freeze_count()}))
+"""
+
+# The process entry with an exit hook that reports whether the objects
+# alive at exit were frozen.
+ENTRY = """
+import atexit, gc
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+from lghomology.cli import entry
+entry()
+"""
+
+
+def python(tmp_path, *args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     # -S: no site hooks, which may import modules of their own.
-    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, json.dumps(runs)],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=60)
+    return subprocess.run([sys.executable, "-S", *args], cwd=tmp_path,
+                          env=env, capture_output=True, timeout=60)
+
+
+def probe(tmp_path, runs):
+    proc = python(tmp_path, "-c", PROBE, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -60,3 +89,28 @@ def test_no_module_imports_dataclasses():
     offenders = [path.name for path in (SRC / "lghomology").glob("*.py")
                  if pattern.search(path.read_text())]
     assert offenders == []
+
+
+def test_process_prints_what_main_prints(tmp_path):
+    (tmp_path / "x3.lg").write_text("variables x\npotential x^3\n")
+    (tmp_path / "junk.lg").write_text("variables x\nfrobnicate 3\n")
+    (tmp_path / "bad.mf").write_text("P0 x\nP1 x\n")
+    runs = [["jacobi", "x3.lg", "--format", "machine"],
+            ["jacobi", "junk.lg", "--format", "machine"],
+            ["mf", "x3.lg", "bad.mf", "verify", "--format", "machine"]]
+    proc = python(tmp_path, "-c", IN_PROCESS, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["frozen"] == 0
+    assert [code for _, _, code in doc["runs"]] == [0, 2, 5]
+    for argv, (out, err, code) in zip(runs, doc["runs"]):
+        proc = python(tmp_path, "-m", "lghomology.cli", *argv)
+        assert (proc.stdout, proc.stderr, proc.returncode) == \
+            (out.encode(), err.encode(), code)
+
+
+def test_process_entry_freezes_before_exit_hooks(tmp_path):
+    (tmp_path / "x3.lg").write_text("variables x\npotential x^3\n")
+    proc = python(tmp_path, "-c", ENTRY, "jacobi", "x3.lg")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "frozen True"
