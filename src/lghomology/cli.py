@@ -4,7 +4,7 @@ Model files are line-oriented: each line starts with a keyword followed by
 its arguments; ``#`` starts a comment.  Recognized keywords:
 
     field rational | field prime P
-    variables x:1 y:2 ...          (name:weight, weight defaults to 1)
+    variables x:1 y:2 ...          (name:weight, or a bare name of weight 1)
     potential <expression>
     group order D weights w1 ... wn       (optional, D <= MAX_GROUP_ORDER)
     carrier truncated p1 ... pn           (optional finite carrier)
@@ -131,7 +131,7 @@ def parse_model_file(text):
         elif key == "variables":
             names, weights = [], []
             for tok in rest.split():
-                name, _, w = tok.partition(":")
+                name, colon, w = tok.partition(":")
                 if not name.isidentifier():
                     raise ParseError("bad variable %r (line %d)" % (tok, lineno))
                 if name in names:
@@ -139,7 +139,7 @@ def parse_model_file(text):
                                      % (name, lineno))
                 names.append(name)
                 try:
-                    weights.append(int(w) if w else 1)
+                    weights.append(int(w) if colon else 1)
                 except ValueError:
                     raise ParseError("bad weight %r (line %d)" % (tok, lineno))
             if not names:

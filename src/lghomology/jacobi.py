@@ -7,6 +7,7 @@ graded dimension series, and the top-form quotient with its degree shift.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import NonHomogeneous, NonIsolated, ZeroPotentialGradient
 from .poly import (DimensionSeries, buchberger, graded_quotient_dims,
@@ -116,17 +117,15 @@ def canonical_data(model, data):
 def expected_weighted_milnor(model):
     """Classical product formula for weighted-homogeneous isolated potentials.
 
-    Independent oracle: prod over variables of (d - w_i) / w_i.
+    Independent oracle: the Milnor number is prod over variables of
+    (d - w_i) / w_i (Milnor-Orlik 1970), taken exactly, so a factor need
+    not be an integer for the product to be one.  None when the product is
+    not an integer, which no isolated W gives.
     """
     model.require_homogeneous()
     d = model.degree
-    value = 1
-    for w in model.ring.weights:
-        num = d - w
-        if num % w:
-            return None  # formula only integral when each w divides d - w
-        value *= num // w
-    return value
+    value = math.prod(Fraction(d - w, w) for w in model.ring.weights)
+    return value.numerator if value.denominator == 1 else None
 
 
 def socle_degree(model):

@@ -9,17 +9,18 @@ import time
 from fractions import Fraction
 
 from conftest import make_model
-from lghomology.hochschild import (FiniteCurvedAlgebra, compact_type_check,
-                                   hh_bm_graded, hh_ordinary,
-                                   mixed_complex_check, vanishing_homotopy,
-                                   vanishing_homotopy_cochain)
+from lghomology.cochains import (compact_type_check,
+                                 vanishing_homotopy_cochain)
+from lghomology.crossproduct import psi_chain_check
+from lghomology.hochschild import (FiniteCurvedAlgebra, hh_bm_graded,
+                                   hh_ordinary, mixed_complex_check,
+                                   vanishing_homotopy)
 from lghomology.jacobi import canonical_module, jacobi_data
 from lghomology.koszul import (koszul_concentrated, koszul_homology_dims,
                                split_insertion_identity)
 from lghomology.linalg import QQ
 from lghomology.mf import twist_to_graded_mf, verify_graded_degrees
-from lghomology.orbifold import (GroupAction, cross_product, orbifold_hh_bm,
-                                 psi_chain_check)
+from lghomology.orbifold import GroupAction, cross_product, orbifold_hh_bm
 from test_mf import random_twist_object
 
 

@@ -355,6 +355,7 @@ group order 2 weights 0 1
     (["jacobi"], "field rational\nvariables x\nfield prime 5\n"
      "potential x^3\n"),
     (["hh"], "variables x\npotential x^3\nwindow maxr=5\n"),
+    (["jacobi"], "variables x y:\npotential x^3+y^3\n"),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
         "carrier-length", "carrier-power-0", "overlong-literal",
@@ -363,7 +364,7 @@ group order 2 weights 0 1
         "empty-variables", "group-weights-not-integers",
         "carrier-power-not-integer", "constant-potential", "zero-potential",
         "missing-file", "repeated-potential", "repeated-field",
-        "window-maxr-5"])
+        "window-maxr-5", "weight-empty"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     # no text means the model path does not exist
     path = write(tmp_path, "bad.lg", text) if text is not None else \

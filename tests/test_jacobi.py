@@ -52,6 +52,10 @@ def test_product_formula_oracle_agrees():
         ("x^2+y^2", "xy", None),
         ("x^5", "x", None),
         ("x^3+y^2", "xy", (2, 3)),   # weighted homogeneous of degree 6
+        # factors that are not integers, with an integer product
+        ("x^2*y+y^4", "xy", (3, 2)),     # D5: 5/3 * 3
+        ("x^3+x*y^3", "xy", (3, 2)),     # E7: 2 * 7/2
+        ("x^2*y+y^5", "xy", (2, 1)),     # D6: 3/2 * 4
     ]
     for src, names, weights in cases:
         model = make_model(src, names, weights)

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import lghomology
 from lghomology.errors import CompositionNonzero
-from lghomology.linalg import (CycElement, CyclotomicField, Matrix,
-                               PrimeField, QQ, add_to, homology_dim, rank)
+from lghomology.cyclotomic import CycElement, CyclotomicField
+from lghomology.linalg import (Matrix, PrimeField, QQ, add_to, homology_dim,
+                               rank)
 
 
 def test_rank_simple():
@@ -337,12 +338,13 @@ def _library_matrices(field):
     """(name, matrix) for every kind of matrix the library builds, on small
     inputs over ``field``."""
     from conftest import make_model
-    from lghomology.hochschild import (ChainWindow, CochainWindow,
-                                       FiniteCurvedAlgebra, _bm_differential,
-                                       homotopy)
+    from lghomology.cochains import CochainWindow
+    from lghomology.crossproduct import psi_matrices
+    from lghomology.hochschild import (ChainWindow, FiniteCurvedAlgebra,
+                                       _bm_differential, homotopy)
     from lghomology.koszul import contract_dW, hkr_split, wedge_dW
     from lghomology.mf import PolyMatrix, _degree_window_matrix
-    from lghomology.orbifold import GroupAction, cross_product, psi_matrices
+    from lghomology.orbifold import GroupAction, cross_product
     from lghomology.poly import parse_polynomial
     one, two = field.one, field.from_int(2)
     alg = FiniteCurvedAlgebra.truncated((2, 3), {(1, 0): one, (0, 2): two},

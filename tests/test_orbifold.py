@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_model
-from lghomology import orbifold
+from lghomology import crossproduct
+from lghomology.crossproduct import psi_chain_check, psi_matrices
+from lghomology.cyclotomic import CyclotomicField
 from lghomology.errors import (BadCharacteristic, NonIsolatedSector,
                                NotInvariant, WindowTooSmall)
-from lghomology.linalg import CyclotomicField, PrimeField, QQ
+from lghomology.linalg import PrimeField, QQ
 from lghomology.orbifold import (GroupAction, coinvariant_dims, cross_product,
-                                 fixed_locus, orbifold_hh_bm, psi_chain_check,
-                                 psi_matrices, restrict_potential, sector_hh_bm)
+                                 fixed_locus, orbifold_hh_bm,
+                                 restrict_potential, sector_hh_bm)
 
 
 def quartic_setup():
@@ -338,14 +340,14 @@ def test_psi_chain_trivial_group():
 def test_psi_chain_corruption_detected(monkeypatch):
     # the canary needs nonzero curvature so the insertion-part comparison
     # sees one corrupted and one clean restriction matrix
-    clean = orbifold.psi_matrices
+    clean = crossproduct.psi_matrices
 
     def corrupted(cp, max_tensor):
         *rest, blocks = clean(cp, max_tensor)
         return (*rest, {g: {k: m if k == 0 else -m for k, m in mats.items()}
                         for g, mats in blocks.items()})
 
-    monkeypatch.setattr(orbifold, "psi_matrices", corrupted)
+    monkeypatch.setattr(crossproduct, "psi_matrices", corrupted)
     action = GroupAction.cyclic(2, (1,))
     cp = cross_product(action, (3,), {(2,): 1})
     assert not psi_chain_check(cp, 3)

@@ -2,7 +2,8 @@
 
 Without a bytecode cache every run compiles each module it imports, so a
 subcommand loads only the modules it uses: `mf` and `koszul` load on
-demand, and no module imports `dataclasses`.  A process freezes the
+demand, no subcommand loads the Q(zeta) field, the cross product or the
+cochain side, and no module imports `dataclasses`.  A process freezes the
 objects it leaves alive before the interpreter shuts down, and prints
 what `main` prints in-process; `main` itself freezes nothing.
 """
@@ -17,7 +18,10 @@ from pathlib import Path
 import lghomology
 
 SRC = Path(lghomology.__file__).resolve().parent.parent
-WATCHED = ("dataclasses", "lghomology.mf", "lghomology.koszul")
+# Code that no subcommand runs: tests and library callers load it.
+UNUSED_BY_CLI = ("lghomology.cyclotomic", "lghomology.crossproduct",
+                 "lghomology.cochains")
+WATCHED = ("dataclasses", "lghomology.mf", "lghomology.koszul") + UNUSED_BY_CLI
 
 # Run subcommands in this process, then report the exit codes and which
 # watched modules ended up loaded.
@@ -81,6 +85,46 @@ def test_mf_verify_loads_mf(tmp_path):
     (tmp_path / "x3.mf").write_text("P0 x\nP1 x^2\n")
     doc = probe(tmp_path, [["mf", "x3.lg", "x3.mf", "verify"]])
     assert doc == {"codes": [0], "loaded": ["lghomology.mf"]}
+
+
+def test_no_subcommand_loads_the_cross_product_or_cochain_side(tmp_path):
+    (tmp_path / "x3.lg").write_text("variables x y\npotential x^3+y^3\n")
+    (tmp_path / "x2.lg").write_text("variables x\npotential x^2\n"
+                                    "carrier truncated 3\n")
+    (tmp_path / "z3.lg").write_text("variables x y\npotential x^3+y^3\n"
+                                    "group order 3 weights 1 1\n")
+    (tmp_path / "u3.lg").write_text("variables x\npotential x^3\n")
+    (tmp_path / "u3.mf").write_text("P0 x\nP1 x^2\n"
+                                    "twists0 0\ntwists1 1\n")
+    runs = [["jacobi", "x3.lg"],
+            ["hh", "x3.lg", "--variant", "bm"],
+            ["hh", "x3.lg", "--variant", "compact-cohomology"],
+            ["hh", "x2.lg", "--variant", "ordinary"],
+            ["orbifold", "z3.lg"],
+            ["mf", "u3.lg", "u3.mf", "verify"],
+            ["mf", "u3.lg", "u3.mf", "graded-audit"],
+            ["mf", "u3.lg", "u3.mf", "ext"],
+            ["koszul", "x3.lg"]]
+    doc = probe(tmp_path, runs)
+    assert doc == {"codes": [0] * len(runs),
+                   "loaded": ["lghomology.mf", "lghomology.koszul"]}
+
+
+def test_cross_product_loads_its_module_on_the_first_call(tmp_path):
+    script = """
+import json, sys
+from lghomology.orbifold import GroupAction, cross_product
+before = [m for m in %r if m in sys.modules]
+cp = cross_product(GroupAction.cyclic(4, (1,)), (4,), {(0,): 0})
+print(json.dumps({"before": before, "dim": cp.algebra.dim,
+                  "field": repr(cp.field),
+                  "after": [m for m in %r if m in sys.modules]}))
+""" % (UNUSED_BY_CLI, UNUSED_BY_CLI)
+    proc = python(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "before": [], "dim": 16, "field": "QQ(zeta_4)",
+        "after": ["lghomology.cyclotomic", "lghomology.crossproduct"]}
 
 
 def test_no_module_imports_dataclasses():
