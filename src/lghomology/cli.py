@@ -13,6 +13,8 @@ its arguments; ``#`` starts a comment.  Recognized keywords:
 ``window tensor=`` is parsed and must be at least ``MIN_TENSOR_WINDOW``,
 but changes nothing: ordinary HH is proved on one window of that size.
 ``window degrees=`` picks the internal degrees Borel-Moore HH reports.
+A key repeated on one ``window`` line is a parse error, as a repeated
+keyword line is.
 
 Factorization files use ``P0`` / ``P1`` lines with rows separated by ``;``
 and entries by ``,``, plus optional ``twists0`` / ``twists1`` integer lists.
@@ -180,6 +182,9 @@ def parse_model_file(text):
         elif key == "window":
             for tok in rest.split():
                 name, _, val = tok.partition("=")
+                if name in mf.window:
+                    raise ParseError("duplicate window key %r (line %d)"
+                                     % (name, lineno))
                 if name == "tensor":
                     mf.window["tensor"] = _window_int(name, val, lineno)
                     if mf.window["tensor"] < MIN_TENSOR_WINDOW:
@@ -313,13 +318,13 @@ def cmd_jacobi(args, mf, model):
         "potential": mf.potential_src,
         "isolated": isolated,
         "milnor": data.milnor if isolated else "infinite",
-        "graded_dims": dict(data.dims.dims),
+        "graded_dims": data.dims,
     }
     if isolated and model.is_homogeneous():
         can = canonical_data(model, data)
         report["canonical_shift"] = can.shift
         report["canonical_parity"] = can.parity
-        report["canonical_dims"] = dict(can.dims.dims)
+        report["canonical_dims"] = can.dims
     return report
 
 
@@ -344,7 +349,7 @@ def cmd_hh(args, mf, model):
         degrees = mf.window.get("degrees")
         if degrees is None:
             can = canonical_module(model)
-            degrees = sorted(can.dims.dims)
+            degrees = sorted(can.dims)
         rep = hh_bm_graded(model, degrees)
         by_parity = {0: 0, 1: 0}
         per_degree = {}
@@ -369,7 +374,7 @@ def cmd_hh(args, mf, model):
         "command": "hh",
         "variant": "compact-cohomology",
         "potential": mf.potential_src,
-        "dims_per_degree": dict(data.dims.dims),
+        "dims_per_degree": data.dims,
         "parity": "even",
         "total": data.milnor,
     }

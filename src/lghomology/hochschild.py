@@ -375,9 +375,11 @@ def homotopy(win, L, k):
     return Matrix(len(index), win.dim(k), field, out)
 
 
-def _contract(win, L):
+def _contract(win, L, bp=None):
     """The h_k, k <= ``win.max_tensor``, for L rescaled to L(W) = 1, with
-    h.B + B.h = id verified below ``win.max_tensor``.
+    h.B + B.h = id verified below ``win.max_tensor``.  ``bp[k]`` is the
+    window's ``boundary_plus(k)``, k < ``win.max_tensor``, when the caller
+    has built it.
 
     B, the insertion of W, does not involve the product, so the identity
     holds on unnormalized chains over every carrier, W = 1 included.
@@ -393,7 +395,8 @@ def _contract(win, L):
     if not Lw:
         raise BadFunctional("functional vanishes on the curvature element")
     L = {b: c / Lw for b, c in L.items()}
-    bp = [win.boundary_plus(k) for k in range(win.max_tensor)]
+    if bp is None:
+        bp = [win.boundary_plus(k) for k in range(win.max_tensor)]
     h = {k: homotopy(win, L, k) for k in range(win.max_tensor + 1)}
     for k in range(win.max_tensor):
         lhs = h[k + 1] @ bp[k]
@@ -444,15 +447,17 @@ def _total(src, dst, dims, block, field):
     return Matrix(nrows, ncols, field, ent)
 
 
-def ordinary_differential(win, cap):
+def ordinary_differential(win, cap, bm, bp):
     """The direct-sum total differential b + B truncated at ``cap``: from the
     tensor degrees of parity cap % 2 up to ``cap`` to those of the other
-    parity up to cap + 1, on ``win``, which reaches tensor degree cap + 1."""
+    parity up to cap + 1, on ``win``, which reaches tensor degree cap + 1.
+    ``bm[k]`` and ``bp[k]`` are the window's ``boundary_minus(k)`` and
+    ``boundary_plus(k)``, built once by the caller."""
     def block(k, t):
         if t == k - 1:
-            return win.boundary_minus(k)
+            return bm[k]
         if t == k + 1:
-            return win.boundary_plus(k)
+            return bp[k]
         return None
 
     parity = cap % 2
@@ -472,7 +477,8 @@ def hh_ordinary(algebra):
     ``check_window`` refuses a window over ``MAX_WINDOW_TENSORS`` before it
     is built.  ``_contract`` verifies h.B + B.h = id below tensor degree 4
     on the same window, with L the dual of the first non-unit basis element
-    in W's support.
+    in W's support.  Each block is built once: B_0..B_3 before that check,
+    b_1..b_3 after it, and the three differentials are assembled from them.
 
     That identity makes every truncation it covers acyclic.  Let x be a
     cycle at cap M <= 3 and x_j its part of top tensor degree.  The
@@ -496,9 +502,12 @@ def hh_ordinary(algebra):
                             "HH is not read on normalized chains")
     check_window(algebra.dim, MIN_TENSOR_WINDOW)
     win = ChainWindow(algebra, MIN_TENSOR_WINDOW)
-    d1, d2, d3 = (ordinary_differential(win, cap) for cap in (1, 2, 3))
     first = min(b for b in algebra.curvature if b != algebra.unit)
-    _contract(win, {first: algebra.field.one})
+    bp = [win.boundary_plus(k) for k in range(MIN_TENSOR_WINDOW)]
+    _contract(win, {first: algebra.field.one}, bp)
+    bm = {k: win.boundary_minus(k) for k in range(1, MIN_TENSOR_WINDOW)}
+    d1, d2, d3 = (ordinary_differential(win, cap, bm, bp) for cap in (1, 2, 3))
+    del bm, bp      # copied into d1, d2 and d3; freed before elimination
     out = {0: homology_dim(d1, d2), 1: homology_dim(d2, d3)}
     if any(out.values()):
         raise AssertionError("ordinary HH read %r, not 0" % out)

@@ -1,7 +1,8 @@
 """Landau-Ginzburg model invariants from the ideal of partial derivatives.
 
 The critical-locus quotient ring, its dimension (the Milnor number), its
-graded dimension series, and the top-form quotient with its degree shift.
+dimension in each weighted degree as a plain ``{degree: dim}`` dict, and
+the top-form quotient with its degree shift.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ import math
 from fractions import Fraction
 
 from .errors import NonHomogeneous, NonIsolated, ZeroPotentialGradient
-from .poly import (DimensionSeries, buchberger, graded_quotient_dims,
-                   is_zero_dimensional)
+from .poly import buchberger, is_zero_dimensional, standard_monomials
 
 INFINITE = math.inf
 
@@ -64,11 +64,11 @@ class JacobiData:
     def __init__(self, ideal, milnor, dims):
         self.ideal = ideal      # GroebnerBasis
         self.milnor = milnor    # int or INFINITE
-        self.dims = dims        # DimensionSeries, empty when milnor is infinite
+        self.dims = dims        # {degree: dim}, empty when milnor is infinite
 
 
 class CanonicalData:
-    """Graded data of the top-form quotient: shifted dimension series + parity."""
+    """Graded data of the top-form quotient: shifted {degree: dim} + parity."""
 
     def __init__(self, dims, parity, shift):
         self.dims = dims
@@ -88,9 +88,12 @@ def jacobi_ideal(model):
 def jacobi_data(model):
     gb = jacobi_ideal(model)
     if not is_zero_dimensional(gb):
-        return JacobiData(gb, INFINITE, DimensionSeries({}))
-    dims = graded_quotient_dims(gb)
-    return JacobiData(gb, dims.total, dims)
+        return JacobiData(gb, INFINITE, {})
+    dims = {}
+    for m in standard_monomials(gb):
+        d = model.ring.weighted_degree(m)
+        dims[d] = dims.get(d, 0) + 1
+    return JacobiData(gb, sum(dims.values()), dims)
 
 
 def canonical_module(model):
@@ -109,7 +112,7 @@ def canonical_data(model, data):
         raise NonIsolated("critical points are not isolated")
     model.require_homogeneous()
     shift = model.weight_sum
-    return CanonicalData(dims=data.dims.shifted(shift),
+    return CanonicalData(dims={d + shift: n for d, n in data.dims.items()},
                          parity=model.ring.nvars % 2,
                          shift=shift)
 

@@ -189,7 +189,7 @@ def dims_concentrated(model, dims, max_grade):
     quotient ring's graded dims there."""
     if any(k != 0 for k in dims):
         return False
-    expected = {g: n for g, n in jacobi_data(model).dims.dims.items()
+    expected = {g: n for g, n in jacobi_data(model).dims.items()
                 if g <= max_grade}
     return dims.get(0, {}) == expected
 

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials, Groebner bases, and quotient-ring data.
+"""Exact multivariate polynomials, Groebner bases, and standard monomials.
 
 Monomials are exponent tuples; polynomials are sparse term maps over an
 exact scalar field.  The monomial order is weighted degree-reverse-
@@ -647,38 +647,3 @@ def standard_monomials(gb):
     out.sort(key=lambda m: (ring.weighted_degree(m),) + ring.order_key(m))
     return out
 
-
-class DimensionSeries:
-    """Graded dimension counts keyed by weighted degree."""
-
-    def __init__(self, dims=None):
-        self.dims = {} if dims is None else dims
-
-    def __repr__(self):
-        return "DimensionSeries(%r)" % (self.dims,)
-
-    @property
-    def total(self):
-        return sum(self.dims.values())
-
-    def shifted(self, offset):
-        return DimensionSeries({d + offset: c for d, c in self.dims.items()})
-
-    def __getitem__(self, deg):
-        return self.dims.get(deg, 0)
-
-    def __eq__(self, other):
-        if isinstance(other, DimensionSeries):
-            other = other.dims
-        return {d: c for d, c in self.dims.items() if c} == \
-               {d: c for d, c in other.items() if c}
-
-
-def graded_quotient_dims(gb):
-    """Dimension of each weighted-degree piece of the quotient ring."""
-    monos = standard_monomials(gb)
-    dims = {}
-    for m in monos:
-        d = gb.ring.weighted_degree(m)
-        dims[d] = dims.get(d, 0) + 1
-    return DimensionSeries(dims)

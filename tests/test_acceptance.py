@@ -130,7 +130,7 @@ def test_criterion_9_borel_moore_vs_canonical():
         start = time.monotonic()
         model = make_model(src, names)
         can = canonical_module(model)
-        degrees = sorted(can.dims.dims)
+        degrees = sorted(can.dims)
         rep = hh_bm_graded(model, degrees)
         for e in degrees:
             assert rep.dims[(e, can.parity)] == can.dims[e]

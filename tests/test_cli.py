@@ -356,6 +356,8 @@ group order 2 weights 0 1
      "potential x^3\n"),
     (["hh"], "variables x\npotential x^3\nwindow maxr=5\n"),
     (["jacobi"], "variables x y:\npotential x^3+y^3\n"),
+    (["hh"], "variables x\npotential x^3\nwindow degrees=2 degrees=4\n"),
+    (["hh"], "variables x\npotential x^3\nwindow tensor=5 tensor=4\n"),
 ], ids=["prime-4", "window-tensor-abc", "window-maxr-float",
         "window-degrees-abc", "group-order-0", "potential-beyond-carrier",
         "carrier-length", "carrier-power-0", "overlong-literal",
@@ -364,7 +366,8 @@ group order 2 weights 0 1
         "empty-variables", "group-weights-not-integers",
         "carrier-power-not-integer", "constant-potential", "zero-potential",
         "missing-file", "repeated-potential", "repeated-field",
-        "window-maxr-5", "weight-empty"])
+        "window-maxr-5", "weight-empty", "window-degrees-repeat-key",
+        "window-tensor-repeat-key"])
 def test_malformed_model_exits_parse(tmp_path, capsys, command, text):
     # no text means the model path does not exist
     path = write(tmp_path, "bad.lg", text) if text is not None else \

@@ -1,10 +1,13 @@
-"""Golden runs: exact ``--format machine`` stdout, stderr and exit codes.
+"""Golden runs: exact ``--format machine`` stdout, stderr and exit codes,
+and exact ``--format human`` stdout but for its ``elapsed:`` line.
 
 Each case runs ``lgh`` in-process on a small model (and factorization)
 file and compares what it prints with the output recorded when the case
 was added.  A refactor that changes any digit, key order, error message
 or exit code fails here.
 """
+
+import re
 
 import pytest
 
@@ -90,6 +93,9 @@ FILES = {
                   'potential 3*x*y\n'
                   'carrier truncated 2 2\n'
                   'window tensor=6\n'),
+    'd5.lg': ('field rational\n'
+              'variables x:3 y:2\n'
+              'potential x^2*y+y^4\n'),
 }
 
 # (lgh arguments, exit code, stdout, stderr)
@@ -218,3 +224,52 @@ def test_machine_output_matches_golden(tmp_path, monkeypatch, capsys, argv,
     captured = capsys.readouterr()
     assert captured.out == out
     assert captured.err == err
+
+
+# (lgh arguments, stdout without its last line, ``elapsed: <seconds>s``)
+HUMAN = [
+    (['jacobi', 'd5.lg'],
+     'command: jacobi\n'
+     'potential: x^2*y+y^4\n'
+     'isolated: True\n'
+     'milnor: 5\n'
+     'graded_dims:\n'
+     '  0                1\n'
+     '  2                1\n'
+     '  3                1\n'
+     '  4                1\n'
+     '  6                1\n'
+     'canonical_shift: 5\n'
+     'canonical_parity: 0\n'
+     'canonical_dims:\n'
+     '  11               1\n'
+     '  5                1\n'
+     '  7                1\n'
+     '  8                1\n'
+     '  9                1\n'),
+    (['hh', 'd5.lg', '--variant', 'compact-cohomology'],
+     'command: hh\n'
+     'variant: compact-cohomology\n'
+     'potential: x^2*y+y^4\n'
+     'dims_per_degree:\n'
+     '  0                1\n'
+     '  2                1\n'
+     '  3                1\n'
+     '  4                1\n'
+     '  6                1\n'
+     'parity: even\n'
+     'total: 5\n'),
+]
+
+
+@pytest.mark.parametrize("argv, out", HUMAN,
+                         ids=[_case_id(c) for c in HUMAN])
+def test_human_output_matches_golden(tmp_path, monkeypatch, capsys, argv,
+                                     out):
+    (tmp_path / 'd5.lg').write_text(FILES['d5.lg'])
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--format", "human"]) == 0
+    captured = capsys.readouterr()
+    body, elapsed = captured.out.rsplit('elapsed: ', 1)
+    assert body == out and captured.err == ''
+    assert re.fullmatch(r'\d+\.\d{3}s\n', elapsed)

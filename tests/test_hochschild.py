@@ -324,18 +324,22 @@ def test_ordinary_homology_vanishes_x3():
 
 
 def test_ordinary_builds_boundaries_only_up_to_the_settled_cap(monkeypatch):
-    sources = []
+    built = []
     for name in ("boundary_minus", "boundary_plus"):
         part = getattr(ChainWindow, name)
 
-        def recorded(win, k, part=part):
-            sources.append(k)
+        def recorded(win, k, name=name, part=part):
+            built.append((name, k))
             return part(win, k)
         monkeypatch.setattr(ChainWindow, name, recorded)
     rep = hh_ordinary(trunc(4, {2: 3}))
     assert rep.dims == {0: 0, 1: 0}
     assert rep.stabilization == {0: 2, 1: 3}
-    assert sources and max(sources) <= max(rep.stabilization.values())
+    assert built and max(k for _, k in built) <= \
+        max(rep.stabilization.values())
+    # each block once: B_0..B_3 for the homotopy check, then b_1..b_3
+    assert built == [("boundary_plus", k) for k in range(4)] + \
+        [("boundary_minus", k) for k in range(1, 4)]
 
 
 def test_ordinary_assembles_each_differential_once(monkeypatch):
@@ -456,7 +460,8 @@ def test_the_verified_homotopy_makes_every_truncation_acyclic(
     win = ChainWindow(alg, MIN_TENSOR_WINDOW)
     first = min(b for b in alg.curvature if b != alg.unit)
     _contract(win, {first: field.one})
-    maps = [ordinary_differential(win, cap)
+    bm, bp = win.all_boundaries()
+    maps = [ordinary_differential(win, cap, bm, bp)
             for cap in range(-1, MIN_TENSOR_WINDOW)]
     assert [homology_dim(d_in, d_out) for d_in, d_out in pairwise(maps)] \
         == [0] * MIN_TENSOR_WINDOW
@@ -471,8 +476,8 @@ def test_ordinary_reads_two_values_on_one_window(monkeypatch):
         built.append(win)
         real_init(win, *args)
     monkeypatch.setattr(ChainWindow, "__init__", init)
-    monkeypatch.setattr(hochschild, "_contract", lambda win, L: (
-        contracted.append(win) or real_contract(win, L)))
+    monkeypatch.setattr(hochschild, "_contract", lambda win, L, *bp: (
+        contracted.append(win) or real_contract(win, L, *bp)))
     monkeypatch.setattr(hochschild, "homology_dim", lambda d_in, d_out: (
         read.append(d_out) or homology_dim(d_in, d_out)))
     rep = hh_ordinary(trunc(4, {2: 3}))
@@ -488,9 +493,9 @@ def test_ordinary_certifies_its_zero_by_the_homotopy(monkeypatch, powers,
     real = hochschild._contract
     contracted = []
 
-    def recorded(win, L):
+    def recorded(win, L, *bp):
         contracted.append((win.max_tensor, win.unit, L))
-        return real(win, L)
+        return real(win, L, *bp)
     monkeypatch.setattr(hochschild, "_contract", recorded)
     alg = FiniteCurvedAlgebra.truncated(
         powers, {m: field.from_int(c) for m, c in curvature.items()}, field)
@@ -537,7 +542,7 @@ def test_bm_matches_canonical_module():
     for src, names in (("x^2", "x"), ("x^3", "x"), ("x^2+y^2", "xy")):
         model = make_model(src, names)
         can = canonical_module(model)
-        degrees = sorted(can.dims.dims)
+        degrees = sorted(can.dims)
         rep = hh_bm_graded(model, degrees)
         for e in degrees:
             assert rep.dims[(e, can.parity)] == can.dims[e]
@@ -564,7 +569,7 @@ def test_bm_value_is_the_same_at_every_shift():
     for src, names in (("x^3", "x"), ("x^2+y^2", "xy")):
         model = make_model(src, names)
         n0, d = model.ring.nvars, model.degree
-        degrees = sorted(canonical_module(model).dims.dims)
+        degrees = sorted(canonical_module(model).dims)
         for e in degrees + [degrees[-1] + 1]:
             for offset in (0, 1):
                 values = {bm_spot_homology(model, n0 + offset + 2 * r,
@@ -577,7 +582,7 @@ def test_bm_of_three_variables_matches_canonical_module():
     for src in ("x^3+y^3+z^3", "x^3+y^3+z^3+x*y*z"):
         model = make_model(src, "xyz")
         can = canonical_module(model)
-        assert sorted(can.dims.dims) == [3, 4, 5, 6]
+        assert sorted(can.dims) == [3, 4, 5, 6]
         rep = hh_bm_graded(model, [3, 4, 5, 6])
         for e in (3, 4, 5, 6):
             assert rep.dims[(e, can.parity)] == can.dims[e]

@@ -70,7 +70,52 @@ def test_canonical_module_shift_and_parity():
     assert can.dims[4] == 1 and can.dims[8] == 19 and can.dims[12] == 1
     uni = canonical_module(make_model("x^3", "x"))
     assert uni.parity == 1
-    assert dict(uni.dims.dims) == {1: 1, 2: 1}
+    assert dict(uni.dims) == {1: 1, 2: 1}
+
+
+def test_jacobi_dims_count_standard_monomials_by_degree():
+    # the partials 4x^3 and 3y^2 generate (x^3, y^2): basis x^a y^b, a < 3, b < 2
+    data = jacobi_data(make_model("x^4+y^3", "xy"))
+    assert data.dims == {0: 1, 1: 2, 2: 2, 3: 1}
+    assert data.milnor == 6
+
+
+def _poincare(weights, degree):
+    """{degree: dim} of prod (1 - t^(d - w)) / (1 - t^w) (Milnor-Orlik 1970),
+    by exact division of integer coefficient lists; no monomial is listed."""
+    series = [1]
+    for w in weights:
+        num = [0] * (len(series) + degree - w)
+        for k, c in enumerate(series):
+            num[k] += c
+            num[k + degree - w] -= c
+        series = num
+    for w in weights:
+        # a = (1 - t^w) q gives q[k] = a[k] + q[k - w]; the top w must be 0
+        for k in range(w, len(series)):
+            series[k] += series[k - w]
+        assert not any(series[len(series) - w:])
+        series = series[:len(series) - w]
+    return {k: c for k, c in enumerate(series) if c}
+
+
+@pytest.mark.parametrize("src, names, weights, milnor", [
+    ("x^2*y+y^4", "xy", (3, 2), 5),                 # D5
+    ("x^3+x*y^3", "xy", (3, 2), 7),                 # E7
+    ("x^2*y+y^5", "xy", (2, 1), 6),                 # D6
+    ("x^6+y^3", "xy", (1, 2), 10),
+    ("x^3+y^3+z^3", "xyz", None, 8),
+    ("x^4+y^4+z^4+w^4", "xyzw", None, 81),
+    ("x^5+y^5+z^5+w^5+v^5+x*y*z*w*v", "xyzwv", None, 1024),
+], ids=["D5", "E7", "D6", "x6+y3", "cubic", "quartic", "quintic"])
+def test_graded_dims_match_the_poincare_series(src, names, weights, milnor):
+    model = make_model(src, names, weights)
+    series = _poincare(model.ring.weights, model.degree)
+    data = jacobi_data(model)
+    assert data.dims == series and data.milnor == milnor
+    shift = sum(model.ring.weights)
+    assert canonical_module(model).dims == {d + shift: n
+                                            for d, n in series.items()}
 
 
 def test_socle_degree():

@@ -53,7 +53,7 @@ def test_concentration_spot_dims_match_quotient():
     model = make_model("x^2+y^2", "xy")
     dims = koszul_homology_dims(model, 4)
     assert set(dims) == {0}
-    assert dims[0] == dict(jacobi_data(model).dims.dims)
+    assert dims[0] == dict(jacobi_data(model).dims)
 
 
 def test_homology_builds_each_contraction_once(monkeypatch):
@@ -67,7 +67,7 @@ def test_homology_builds_each_contraction_once(monkeypatch):
     model = make_model("x^3+y^3+z^3", "xyz")
     dims = koszul_homology_dims(model, 6)
     assert set(dims) == {0}
-    assert dims[0] == dict(jacobi_data(model).dims.dims)
+    assert dims[0] == dict(jacobi_data(model).dims)
     assert list(dims[0]) == sorted(dims[0])
     # contract_dW(1, 0) is d_in at spot (0, 3) and d_out at spot (1, 0)
     assert (1, 0) in built
@@ -78,7 +78,7 @@ def test_homology_eliminates_each_contraction_once(monkeypatch):
     eliminated = record_eliminations(monkeypatch)
     model = make_model("x^3+y^3+z^3", "xyz")
     dims = koszul_homology_dims(model, 6)
-    assert dims[0] == dict(jacobi_data(model).dims.dims)
+    assert dims[0] == dict(jacobi_data(model).dims)
     # contract_dW(1, 0) is d_in at spot (0, 3) and d_out at spot (1, 0)
     assert len(eliminated) == len(set(map(id, eliminated)))
 
@@ -99,7 +99,7 @@ def test_homology_builds_each_polyvector_basis_once(monkeypatch):
     monkeypatch.setattr(koszul, "combinations", combinations)
     model = make_model("x^3+y^3+z^3", "xyz")
     dims = koszul_homology_dims(model, 6)
-    assert dims[0] == dict(jacobi_data(model).dims.dims)
+    assert dims[0] == dict(jacobi_data(model).dims)
     # each basis is the target of one contraction and the source of the next
     assert len(asked) > len(set(asked))
     assert len(built) == len(set(asked))
@@ -151,7 +151,7 @@ def test_koszul_maps_refuse_a_potential_that_is_not_homogeneous():
 def test_e2_support_univariate_cubic():
     model = make_model("x^3", "x")
     page = e2_page(model, max_column=2, max_row=3, max_charge=8)
-    omega = dict(canonical_module(model).dims.dims)  # {1: 1, 2: 1}
+    omega = dict(canonical_module(model).dims)  # {1: 1, 2: 1}
     assert page[(0, 1)] == omega
     assert page[(1, 2)] == {g + 3: n for g, n in omega.items()}
     assert page[(2, 3)] == {g + 6: n for g, n in omega.items()}

@@ -12,9 +12,8 @@ from lghomology.jacobi import LGModel, expected_weighted_milnor
 from lghomology.linalg import PrimeField, QQ
 from lghomology.poly import (MAX_COEFFICIENT_BITS, MAX_LITERAL_DIGITS,
                              MAX_NESTING_DEPTH,
-                             MAX_POWER_DEGREE, DimensionSeries, PolyRing, Polynomial,
-                             buchberger, format_polynomial,
-                             graded_quotient_dims, is_zero_dimensional,
+                             MAX_POWER_DEGREE, PolyRing, Polynomial,
+                             buchberger, format_polynomial, is_zero_dimensional,
                              normal_form, parse_polynomial,
                              standard_monomials)
 
@@ -192,15 +191,6 @@ def test_standard_monomials_of_monomial_ideal():
                      parse_polynomial("y^3", ring)], ring)
     monos = standard_monomials(gb)
     assert sorted(monos) == [(a, b) for a in range(2) for b in range(3)]
-
-
-def test_graded_quotient_dims_total():
-    ring = PolyRing(("x", "y"))
-    gb = buchberger([parse_polynomial("x^3", ring),
-                     parse_polynomial("y^2", ring)], ring)
-    dims = graded_quotient_dims(gb)
-    assert dims.total == 6
-    assert dims == {0: 1, 1: 2, 2: 2, 3: 1}
 
 
 def test_division_by_constant_only():
@@ -389,12 +379,6 @@ def test_poly_ring_is_a_value_type():
 def test_poly_ring_refuses_bad_weights(weights):
     with pytest.raises(ValueError):
         PolyRing(("x", "y"), weights)
-
-
-def test_dimension_series_do_not_share_their_default_dict():
-    a, b = DimensionSeries(), DimensionSeries()
-    a.dims[0] = 1
-    assert b.dims == {} and b.total == 0
 
 
 # ---------------------------------------------------------------------------
